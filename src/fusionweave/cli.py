@@ -150,27 +150,32 @@ def cmd_dual(args) -> int:
     raise ParseError("dual needs one of --canonical, --verify, --defect, --enlarge")
 
 
-def _assignment_rank(labels: tuple[int, ...], M: int) -> int:
+def _assignment_rank(labels: list[int], M: int) -> int:
     rank = 0
     for v in labels:
         rank = rank * M + (v - 1)
     return rank
 
 
-def _write_weave_csv(path: str, report, M: int) -> None:
+def _labels_text(labels) -> str:
+    return "-".join(map(str, labels))
+
+
+def _write_weave_csv(path: str, report) -> None:
+    labels = report.labels.tolist()
+    if report.sampled:
+        ids = [_assignment_rank(row, report.frame_count) for row in labels]
+    else:
+        ids = range(len(labels))  # exhaustive rows are in rank order
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["assignment_id", "labels", "lambda_min", "lambda_max", "is_frame"])
-        for entry in report.per_assignment:
-            writer.writerow(
-                [
-                    _assignment_rank(entry.assignment.labels, M),
-                    "-".join(str(v) for v in entry.assignment.labels),
-                    _fmt(entry.bounds.lower),
-                    _fmt(entry.bounds.upper),
-                    "true" if entry.is_frame else "false",
-                ]
+        writer.writerows(
+            [k, _labels_text(row), _fmt(lo), _fmt(hi), "true" if ok else "false"]
+            for k, row, lo, hi, ok in zip(
+                ids, labels, report.lower.tolist(), report.upper.tolist(), report.is_frame.tolist()
             )
+        )
         writer.writerow(
             [
                 "universal",
@@ -189,11 +194,16 @@ def cmd_weave(args) -> int:
         frames, tol, sample_count=args.sample, seed=args.seed, enum_cap=args.max_enum
     )
     mode = f"sampled ({report.enumerated} draws)" if report.sampled else "exhaustive"
+    verdict = "yes" if report.woven else "no"
+    if report.sampled:
+        verdict += f" (sampled estimate over {report.enumerated} draws, not a proof)"
     print(f"weavings evaluated: {report.enumerated} [{mode}]")
-    print(f"woven: {'yes' if report.woven else 'no'}")
+    print(f"woven: {verdict}")
     print(f"universal bounds: {_fmt(report.universal_lower)} {_fmt(report.universal_upper)}")
+    print(f"witness C: {_labels_text(report.witness_lower)}")
+    print(f"witness D: {_labels_text(report.witness_upper)}")
     if args.csv:
-        _write_weave_csv(args.csv, report, len(frames))
+        _write_weave_csv(args.csv, report)
     return 0 if report.woven else 1
 
 

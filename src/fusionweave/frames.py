@@ -119,11 +119,17 @@ class FrameBounds:
             raise ValueError(f"invalid bounds ({self.lower}, {self.upper})")
 
 
-def _clamped_bounds(lo: float, hi: float, tol: Tolerance) -> FrameBounds:
+def _clamp_psd(lo, hi, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Extremal eigenvalues of PSD matrices (scalars or arrays), clamped at 0."""
     # eigvalsh can return -1e-16 for a PSD matrix; clamp only within frame_eps
-    if lo < -tol.frame_eps:
-        raise ValueError(f"matrix expected to be PSD has eigenvalue {lo}")
-    return FrameBounds(max(lo, 0.0), max(hi, 0.0))
+    if np.any(lo < -tol.frame_eps):
+        raise ValueError(f"matrix expected to be PSD has eigenvalue {np.min(lo)}")
+    return np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+
+
+def _clamped_bounds(lo: float, hi: float, tol: Tolerance) -> FrameBounds:
+    lo, hi = _clamp_psd(lo, hi, tol)
+    return FrameBounds(float(lo), float(hi))
 
 
 @dataclass(frozen=True, eq=False)

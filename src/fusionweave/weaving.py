@@ -4,15 +4,25 @@ biorthogonal Riesz construction.
 
 An assignment maps every index to the label (1..M) of the frame that
 serves it; a partition block sigma_j is the preimage of label j and may
-be empty.  Exhaustive enumeration is capped; beyond the cap a seeded
-uniform sample is drawn and the report is marked as sampled.
+be empty.  :func:`assignments` is the one place that orders assignments
+(lexicographically) and caps their number: it returns a lazy sequence
+over a ``(K, L)`` label array.  Beyond the cap a report draws a seeded
+uniform sample instead and is marked as sampled.
+
+Every weaving operator is a sum of one weighted projector per index.  A
+report therefore stacks the ``L*M`` weighted projectors once, as an
+``(L*M, n*n)`` matrix, and evaluates the assignments in chunks of fixed
+byte size: a one-hot ``(chunk, L*M)`` selection times the stack forms
+every operator of the chunk in one matrix product, and one batched
+``eigvalsh`` call gives their extremal eigenvalues.  The report keeps
+the results as arrays (``labels``, ``lower``, ``upper``, ``is_frame``)
+and builds per-assignment objects only when ``per_assignment`` is read.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
     LengthMismatch,
+    NonSymmetric,
     NonUniformWeights,
     NotOrthonormalBasis,
     SingularOperator,
@@ -27,6 +38,7 @@ from .errors import (
 from .frames import (
     FrameBounds,
     FusionFrame,
+    _clamp_psd,
     is_orthonormal_fusion_basis,
     riesz_sequence_bounds,
     transform_frame,
@@ -38,13 +50,13 @@ from .linalg import (
     numerical_rank,
     operator_norm,
     reduced_min_modulus,
-    sym_eig_extremes,
 )
 from .subspaces import Subspace, apply_operator
 
 __all__ = [
     "ENUM_CAP",
     "Assignment",
+    "AssignmentSequence",
     "WeavingEntry",
     "WeavingReport",
     "RieszWeavingEntry",
@@ -60,6 +72,12 @@ __all__ = [
 ]
 
 ENUM_CAP = 1 << 20
+
+# Bytes of float64 per buffer of one kernel chunk: the chunk's (chunk, n, n)
+# operators, and its (chunk, L*M) one-hot selection when that is wider.
+# Small enough to stay in cache and keep peak memory flat, large enough to
+# amortize the per-call overhead of the batched eigen-solve (512 rows at n=8).
+_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -82,6 +100,35 @@ class Assignment:
         ]
 
 
+class AssignmentSequence(Sequence[Assignment]):
+    """Read-only sequence of assignments over a ``(K, L)`` label array.
+
+    ``labels`` holds 1-based frame labels, one row per assignment; an
+    :class:`Assignment` is built only when an item is read.  Slices are
+    sequences over the matching rows.
+    """
+
+    def __init__(self, labels: np.ndarray, frame_count: int):
+        self.labels = labels
+        self.frame_count = frame_count
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return AssignmentSequence(self.labels[index], self.frame_count)
+        return Assignment(tuple(self.labels[index].tolist()), self.frame_count)
+
+    def __iter__(self) -> Iterator[Assignment]:
+        for row in self.labels.tolist():
+            yield Assignment(tuple(row), self.frame_count)
+
+
+def _label_dtype(frame_count: int) -> type:
+    return np.int8 if frame_count <= np.iinfo(np.int8).max else np.int64
+
+
 @dataclass(frozen=True)
 class WeavingEntry:
     assignment: Assignment
@@ -89,22 +136,73 @@ class WeavingEntry:
     is_frame: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeavingReport:
-    """Per-weaving verdicts plus the universal constants over them."""
+    """Per-weaving bounds as arrays, plus the universal constants over them.
 
-    per_assignment: tuple[WeavingEntry, ...]
-    universal_lower: float
-    universal_upper: float
-    woven: bool
-    enumerated: int
+    Row k of ``labels`` is an assignment (1-based labels over
+    ``frame_count`` frames); ``lower[k]`` and ``upper[k]`` are the optimal
+    bounds of its weaving and ``is_frame[k]`` says whether ``lower[k]``
+    exceeds ``frame_eps``.  Rows are in lexicographic order; a sampled
+    report keeps repeated draws.
+    """
+
+    labels: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    is_frame: np.ndarray
+    frame_count: int
     sampled: bool
+
+    @property
+    def enumerated(self) -> int:
+        """Number of weavings evaluated (rows of the report)."""
+        return self.labels.shape[0]
+
+    @property
+    def universal_lower(self) -> float:
+        return float(self.lower.min())
+
+    @property
+    def universal_upper(self) -> float:
+        return float(self.upper.max())
+
+    @property
+    def woven(self) -> bool:
+        return bool(self.is_frame.all())
+
+    @property
+    def witness_lower(self) -> tuple[int, ...]:
+        """Labels of the first row attaining the universal lower bound C."""
+        return tuple(self.labels[np.argmin(self.lower)].tolist())
+
+    @property
+    def witness_upper(self) -> tuple[int, ...]:
+        """Labels of the first row attaining the universal upper bound D."""
+        return tuple(self.labels[np.argmax(self.upper)].tolist())
+
+    @property
+    def per_assignment(self) -> tuple[WeavingEntry, ...]:
+        """One entry per row, built from the arrays on every access."""
+        return tuple(
+            WeavingEntry(a, FrameBounds(lo, hi), ok)
+            for a, lo, hi, ok in zip(
+                AssignmentSequence(self.labels, self.frame_count),
+                self.lower.tolist(),
+                self.upper.tolist(),
+                self.is_frame.tolist(),
+            )
+        )
 
 
 def assignments(
     index_count: int, frame_count: int, enum_cap: int = ENUM_CAP
-) -> list[Assignment]:
-    """All frame_count**index_count assignments in lexicographic order."""
+) -> AssignmentSequence:
+    """All frame_count**index_count assignments in lexicographic order.
+
+    Row k holds the base-``frame_count`` digits of k, most significant
+    first, each plus one: item k is the assignment of rank k.
+    """
     if index_count < 1 or frame_count < 1:
         raise ValueError("index_count and frame_count must be at least 1")
     total = frame_count**index_count
@@ -112,10 +210,11 @@ def assignments(
         raise EnumerationTooLarge(
             f"{frame_count}^{index_count} = {total} assignments exceed cap {enum_cap}"
         )
-    return [
-        Assignment(labels, frame_count)
-        for labels in itertools.product(range(1, frame_count + 1), repeat=index_count)
-    ]
+    ranks = np.arange(total)
+    labels = np.empty((total, index_count), dtype=_label_dtype(frame_count))
+    for i in range(index_count):
+        labels[:, i] = ranks // frame_count ** (index_count - 1 - i) % frame_count + 1
+    return AssignmentSequence(labels, frame_count)
 
 
 def _check_frames(frames: Sequence[FusionFrame]) -> tuple[int, int]:
@@ -146,25 +245,52 @@ def weave(frames: Sequence[FusionFrame], a: Assignment) -> FusionFrame:
     return FusionFrame(n, members)
 
 
-def _weighted_projectors(frames: Sequence[FusionFrame]) -> list[list[np.ndarray]]:
-    stacks = []
-    for F in frames:
-        stacks.append([m.weight**2 * m.subspace.basis @ m.subspace.basis.T for m in F.members])
-    return stacks
+def _weighted_projectors(frames: Sequence[FusionFrame]) -> np.ndarray:
+    """``(L*M, n*n)`` stack; row ``i*M + j`` is ``w^2 P`` of member i of frame j."""
+    n, length = _check_frames(frames)
+    stack = np.empty((length, len(frames), n, n))
+    for j, F in enumerate(frames):
+        for i, m in enumerate(F.members):
+            B = m.subspace.basis
+            stack[i, j] = m.weight**2 * (B @ B.T)
+    return stack.reshape(length * len(frames), n * n)
 
 
-def _report_entries(frames, assigns, tol) -> list[WeavingEntry]:
-    n, _ = _check_frames(frames)
-    wproj = _weighted_projectors(frames)
-    entries = []
-    for a in assigns:
-        S = np.zeros((n, n))
-        for i, label in enumerate(a.labels):
-            S += wproj[label - 1][i]
-        lo, hi = sym_eig_extremes(S, tol)
-        bounds = FrameBounds(max(lo, 0.0), max(hi, 0.0))
-        entries.append(WeavingEntry(a, bounds, bounds.lower > tol.frame_eps))
-    return entries
+def _chunk_rows(n: int, width: int) -> int:
+    """Assignments per kernel chunk for ambient dimension n and L*M = width."""
+    return max(1, _CHUNK_BYTES // (8 * max(n * n, width)))
+
+
+def _weaving_bounds(
+    frames: Sequence[FusionFrame], labels: np.ndarray, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped extremal eigenvalues of the weaving operator of every label row.
+
+    Raises ``NonSymmetric`` when an operator fails
+    ``||S - S^T||_F <= orth_tol * max|lambda|``, and applies the PSD clamp
+    rule of :func:`frame_bounds`.
+    """
+    n = frames[0].ambient_dim
+    K, length = labels.shape
+    if n == 0:
+        return np.zeros(K), np.zeros(K)
+    stack = _weighted_projectors(frames)
+    width = stack.shape[0]
+    columns = np.arange(length) * len(frames) - 1  # label v at index i picks row i*M + v - 1
+    lower, upper = np.empty(K), np.empty(K)
+    step = _chunk_rows(n, width)
+    for start in range(0, K, step):
+        rows = labels[start : start + step]
+        onehot = np.zeros((rows.shape[0], width))
+        np.put_along_axis(onehot, rows + columns, 1.0, axis=1)
+        S = (onehot @ stack).reshape(-1, n, n)
+        St = S.transpose(0, 2, 1)
+        eigs = np.linalg.eigvalsh(0.5 * (S + St))
+        lo, hi = eigs[:, 0], eigs[:, -1]
+        if np.any(np.linalg.norm(S - St, axis=(1, 2)) > tol.orth_tol * np.maximum(-lo, hi)):
+            raise NonSymmetric("weaving operator is not symmetric within orth_tol")
+        lower[start : start + step], upper[start : start + step] = _clamp_psd(lo, hi, tol)
+    return lower, upper
 
 
 def weaving_report(
@@ -178,31 +304,28 @@ def weaving_report(
 
     In exhaustive mode the universal constants are exact minima/maxima; in
     sampled mode they are one-sided estimates and the report says so via
-    ``sampled``.  Entries are aggregated in lexicographic assignment order
-    either way, so the output is deterministic for fixed inputs and seed.
+    ``sampled``.  Rows are in lexicographic assignment order either way
+    (sampled rows keep duplicates), so the output is deterministic for
+    fixed inputs and seed.
     """
     n, length = _check_frames(frames)
     M = len(frames)
     if sample_count is None:
-        assigns = assignments(length, M, enum_cap)
-        sampled = False
+        labels = assignments(length, M, enum_cap).labels
     else:
         if sample_count < 1:
             raise ValueError("sample_count must be positive")
         rng = np.random.default_rng(seed)
         drawn = rng.integers(1, M + 1, size=(sample_count, length))
-        assigns = [Assignment(tuple(row), M) for row in sorted(map(tuple, drawn))]
-        sampled = True
-    entries = _report_entries(frames, assigns, tol)
-    lower = min(e.bounds.lower for e in entries)
-    upper = max(e.bounds.upper for e in entries)
+        labels = drawn[np.lexsort(drawn.T[::-1])].astype(_label_dtype(M))
+    lower, upper = _weaving_bounds(frames, labels, tol)
     return WeavingReport(
-        per_assignment=tuple(entries),
-        universal_lower=lower,
-        universal_upper=upper,
-        woven=all(e.is_frame for e in entries),
-        enumerated=len(entries),
-        sampled=sampled,
+        labels=labels,
+        lower=lower,
+        upper=upper,
+        is_frame=lower > tol.frame_eps,
+        frame_count=M,
+        sampled=sample_count is not None,
     )
 
 

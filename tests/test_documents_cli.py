@@ -181,6 +181,33 @@ def test_cli_weave_negative_and_sampled(tmp_path):
     assert main(["weave", coords_path(), enlarged_path(), "--max-enum", "4"]) == 2
 
 
+def test_cli_weave_witnesses_and_sampled_label(tmp_path, capsys):
+    assert main(["weave", coords_path(), enlarged_path()]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["weavings evaluated: 8 [exhaustive]", "woven: yes"]
+    assert lines[2].startswith("universal bounds: ")
+    # C = 1 is first attained by 1-1-1; D = 2 needs the plane, i.e. label 2 at index 1
+    assert lines[3:] == ["witness C: 1-1-1", "witness D: 2-1-1"]
+
+    swapped = write_json(
+        tmp_path / "swapped.json",
+        {"dim": 2, "subspaces": [{"vectors": [[0, 1]]}, {"vectors": [[1, 0]]}]},
+    )
+    coords2 = write_json(
+        tmp_path / "coords2.json",
+        {"dim": 2, "subspaces": [{"vectors": [[1, 0]]}, {"vectors": [[0, 1]]}]},
+    )
+    assert main(["weave", coords2, swapped]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "woven: no"
+    assert lines[3:] == ["witness C: 1-2", "witness D: 1-2"]
+
+    assert main(["weave", coords_path(), enlarged_path(), "--sample", "4", "--seed", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "weavings evaluated: 4 [sampled (4 draws)]"
+    assert lines[1] == "woven: yes (sampled estimate over 4 draws, not a proof)"
+
+
 def test_cli_perturb_checks(tmp_path, capsys):
     identity = write_json(tmp_path / "id.json", {"dim": 3, "rows": np.eye(3).tolist()})
     proj = write_json(tmp_path / "proj.json", {"dim": 3, "rows": np.diag([1.0, 1.0, 0.0]).tolist()})

@@ -216,9 +216,15 @@ def test_per1_condition_implies_woven_random():
         assert v.cond_i and v.cond_ii and v.woven_verdict
         # with (ii) in force, every weaving must also pass the discrete
         # local-frame check
-        from fusionweave import Assignment, discrete_frame_bounds, to_discrete, weave
+        from fusionweave import (
+            Assignment,
+            discrete_frame_bounds,
+            to_discrete,
+            transform_frame,
+            weave,
+        )
 
-        moved = transform_frame_for_test(T, F)
+        moved = transform_frame(T, F)
         for entry in v.witnesses["weaving_report"].per_assignment:
             woven = weave([F, moved], entry.assignment)
             _, discrete_ok = discrete_frame_bounds(to_discrete(woven))

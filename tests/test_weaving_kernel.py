@@ -1,0 +1,160 @@
+"""The chunked weaving kernel against the per-weaving reference path, and
+the lazy assignment sequence that feeds it."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from fusionweave import (
+    Assignment,
+    EnumerationTooLarge,
+    FusionFrame,
+    NonSymmetric,
+    Subspace,
+    assignments,
+    frame_bounds,
+    weave,
+    weaving_report,
+)
+from fusionweave import weaving
+from fusionweave.generators import random_subspace
+
+
+def _frame(rng, n, count):
+    """Random non-uniform weights; member dimensions 0..n, zero included."""
+    dims = rng.integers(0, n + 1, size=count)
+    subs = [Subspace.zero(n) if d == 0 else random_subspace(rng, n, int(d)) for d in dims]
+    return FusionFrame.of_subspaces(subs, rng.uniform(0.5, 2.0, size=count))
+
+
+def _grid():
+    rng = np.random.default_rng(20181)
+    cases = []
+    for M in (1, 2, 3):
+        for n in range(1, 7):
+            L = int(rng.integers(1, 9 if M < 3 else 6))
+            cases.append([_frame(rng, n, L) for _ in range(M)])
+    # more assignments than one chunk holds, at both ends of the n range
+    for n in (1, 6):
+        cases.append([_frame(rng, n, 7) for _ in range(3)])
+    return cases
+
+
+@pytest.mark.parametrize("frames", _grid())
+def test_kernel_matches_per_weaving_bounds(frames):
+    n, L, M = frames[0].ambient_dim, len(frames[0]), len(frames)
+    report = weaving_report(frames)
+    assert report.enumerated == M**L and not report.sampled
+    assert report.labels.shape == (M**L, L)
+    for k, a in enumerate(assignments(L, M)):
+        bounds, ok = frame_bounds(weave(frames, a))
+        assert abs(report.lower[k] - bounds.lower) <= 1e-12
+        assert abs(report.upper[k] - bounds.upper) <= 1e-12
+        assert report.is_frame[k] == ok
+    assert report.woven == bool(report.is_frame.all())
+    assert np.all(report.lower >= 0.0)
+    k_lo = np.flatnonzero(report.lower == report.universal_lower)[0]
+    k_hi = np.flatnonzero(report.upper == report.universal_upper)[0]
+    assert report.witness_lower == tuple(report.labels[k_lo])
+    assert report.witness_upper == tuple(report.labels[k_hi])
+
+
+def test_grid_spans_one_and_several_chunks():
+    above = {
+        len(F) ** len(F[0]) > weaving._chunk_rows(F[0].ambient_dim, len(F) * len(F[0]))
+        for F in _grid()
+    }
+    assert above == {False, True}
+
+
+def test_assignment_sequence():
+    a = assignments(4, 3)
+    expected = list(itertools.product((1, 2, 3), repeat=4))
+    assert len(a) == 81
+    assert a.labels.shape == (81, 4) and a.labels.dtype == np.int8
+    assert [x.labels for x in a] == expected
+    assert a[5] == Assignment(expected[5], 3)
+    assert a[-1].labels == (3, 3, 3, 3) and a[-81].labels == expected[0]
+    with pytest.raises(IndexError):
+        a[81]
+    with pytest.raises(IndexError):
+        a[-82]
+    for s in (slice(5, 9), slice(None, None, -1), slice(-3, None), slice(10, 3)):
+        part = a[s]
+        assert len(part) == len(expected[s])
+        assert [x.labels for x in part] == expected[s]
+        assert part.frame_count == 3
+    assert Assignment((2, 1, 3, 1), 3) in a
+    assert a.index(Assignment((2, 1, 3, 1), 3)) == expected.index((2, 1, 3, 1))
+    assert len(assignments(5, 3, enum_cap=243)) == 243
+    with pytest.raises(EnumerationTooLarge):
+        assignments(5, 3, enum_cap=242)
+
+
+def test_sampled_rows_sorted_with_duplicates():
+    rng = np.random.default_rng(7)
+    frames = [_frame(rng, 3, 4) for _ in range(2)]
+    report = weaving_report(frames, sample_count=200, seed=3)
+    rows = [tuple(r) for r in report.labels.tolist()]
+    assert report.sampled and report.enumerated == 200
+    assert rows == sorted(rows) and len(set(rows)) < len(rows)
+    full = weaving_report(frames)
+    for k, row in enumerate(rows):
+        rank = int(np.ravel_multi_index(tuple(np.array(row) - 1), (2,) * 4))
+        assert report.lower[k] == pytest.approx(full.lower[rank], abs=1e-12)
+        assert report.upper[k] == pytest.approx(full.upper[rank], abs=1e-12)
+
+
+def test_one_eigen_solve_per_chunk(monkeypatch):
+    rng = np.random.default_rng(11)
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for n, L, M in ((4, 3, 2), (4, 11, 2), (2, 7, 3)):
+        frames = [_frame(rng, n, L) for _ in range(M)]
+        calls.clear()
+        weaving_report(frames)
+        chunk = weaving._chunk_rows(n, L * M)
+        assert len(calls) == math.ceil(M**L / chunk)
+        assert sum(shape[0] for shape in calls) == M**L
+
+
+def _patched_stack(monkeypatch, extra):
+    real = weaving._weighted_projectors
+
+    def patched(frames):
+        stack = real(frames)
+        n = frames[0].ambient_dim
+        return stack + np.asarray(extra(n), dtype=float).reshape(1, n * n)
+
+    monkeypatch.setattr(weaving, "_weighted_projectors", patched)
+
+
+def test_symmetry_guard(monkeypatch):
+    frames = [FusionFrame.of_subspaces([Subspace.full(3)])] * 2
+    skew = lambda n: 1e-6 * (np.triu(np.ones((n, n)), 1) - np.tril(np.ones((n, n)), -1))
+    _patched_stack(monkeypatch, skew)
+    with pytest.raises(NonSymmetric):
+        weaving_report(frames)
+
+
+@pytest.mark.parametrize("shift, clamped", [(-1e-12, True), (-1e-6, False)])
+def test_clamp_rule(monkeypatch, shift, clamped):
+    # a zero member plus a tiny negative shift: within frame_eps it clamps to 0,
+    # beyond it the operator is not PSD and the kernel refuses it
+    frames = [FusionFrame.of_subspaces([Subspace.zero(2)])] * 2
+    _patched_stack(monkeypatch, lambda n: shift * np.eye(n))
+    if clamped:
+        report = weaving_report(frames)
+        assert np.all(report.lower == 0.0) and np.all(report.upper == 0.0)
+        assert not report.woven
+    else:
+        with pytest.raises(ValueError, match="PSD"):
+            weaving_report(frames)
