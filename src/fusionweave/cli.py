@@ -260,6 +260,10 @@ def cmd_perturb(args) -> int:
         print(f"condition (i) uniform inclusion: {'yes' if record.cond_i else 'no'}")
         print(f"condition (ii) growth + norm bound: {'yes' if record.cond_ii else 'no'}")
         print(f"condition (iii) commutator positivity: {third}")
+        if record.cond_iii is not None:
+            (member,) = record.witnesses["worst_sigma"]
+            eig = record.witnesses["worst_commutator_min_eig"]
+            print(f"commutator witness: member {member}, min eigenvalue {_fmt(eig)}")
         print(f"woven (independent enumeration): {'yes' if record.woven_verdict else 'no'}")
         code = 0 if record.woven_verdict else 1
     else:

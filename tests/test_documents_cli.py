@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,39 @@ def test_cli_perturb_checks(tmp_path, capsys):
     assert main(["perturb", coords_path(), "--op", identity, "--check", "per1"]) == 0
     assert main(["perturb", coords_path(), "--op", identity, "--check", "bogus"]) == 2
     capsys.readouterr()
+
+
+def test_cli_per1_commutator_witness(tmp_path, capsys):
+    theta = 0.7
+    c, s = np.cos(theta), np.sin(theta)
+    coords2 = write_json(
+        tmp_path / "c2.json", {"dim": 2, "subspaces": [{"vectors": [[1, 0]]}, {"vectors": [[0, 1]]}]}
+    )
+    rotation = write_json(tmp_path / "rot.json", {"dim": 2, "rows": [[c, -s], [s, c]]})
+    assert main(["perturb", coords2, "--op", rotation, "--check", "per1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "condition (iii) commutator positivity: no"
+    # C_2 = -C_1 for the two coordinate lines, so either member is worst
+    label, member, eig = re.fullmatch(r"(.*): member (\d+), min eigenvalue (\S+)", lines[3]).groups()
+    assert label == "commutator witness" and member in ("1", "2")
+    np.testing.assert_allclose(float(eig), -s, atol=1e-12)
+    assert lines[4] == "woven (independent enumeration): yes"
+
+    identity = write_json(tmp_path / "id.json", {"dim": 2, "rows": np.eye(2).tolist()})
+    assert main(["perturb", coords2, "--op", identity, "--check", "per1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:4] == [
+        "condition (iii) commutator positivity: yes",
+        "commutator witness: member 1, min eigenvalue 0",
+    ]
+    # not unitary: no (iii) verdict and no witness line
+    scaled = write_json(tmp_path / "scaled.json", {"dim": 2, "rows": (2.0 * np.eye(2)).tolist()})
+    assert main(["perturb", coords2, "--op", scaled, "--check", "per1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:] == [
+        "condition (iii) commutator positivity: n/a (not unitary)",
+        "woven (independent enumeration): yes",
+    ]
 
 
 def test_cli_paper_examples(capsys):

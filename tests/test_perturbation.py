@@ -3,8 +3,10 @@ import pytest
 
 from conftest import coordinate_frame, plane_axis_frame
 from fusionweave import (
+    DEFAULT_TOL,
     AngleNotLessThanOne,
     DimensionMismatch,
+    EnumerationTooLarge,
     FusionFrame,
     IndexOutOfRange,
     NotUnitary,
@@ -22,6 +24,7 @@ from fusionweave import (
 from fusionweave.generators import (
     random_fusion_frame,
     random_invertible,
+    random_orthogonal,
     random_rank_operator,
     random_subspace,
 )
@@ -193,6 +196,93 @@ def test_per1_errors():
         per1_conditions(2.0 * np.eye(2), coordinate_frame(2), require_unitary=True)
 
 
+def _brute_force_iii(T, F, eps):
+    """Condition (iii) by enumerating all 2^L partial frame operators.
+
+    Returns the verdict, the least eigenvalue over every subset, and the
+    least eigenvalue of each singleton.
+    """
+    length = len(F)
+    overall = np.inf
+    singles = np.empty(length)
+    for mask in range(2**length):
+        sigma = [i + 1 for i in range(length) if mask >> i & 1]
+        S = partial_frame_operator(F, sigma)
+        comm = T @ S - S @ T
+        lam = float(np.linalg.eigvalsh(0.5 * (comm + comm.T))[0])
+        overall = min(overall, lam)
+        if len(sigma) == 1:
+            singles[sigma[0] - 1] = lam
+    return overall >= -eps, overall, singles
+
+
+def _coordinate_span_frame(rng, n, length):
+    # members spanned by random non-empty sets of coordinate vectors
+    eye = np.eye(n)
+    subs = []
+    for _ in range(length):
+        cols = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        subs.append(Subspace(n, eye[:, np.sort(cols)]))
+    return FusionFrame.of_subspaces(subs, rng.uniform(0.5, 2.0, size=length))
+
+
+def _block_rotation(rng, n, start):
+    theta = rng.uniform(0.1, 1.0)
+    R = np.eye(n)
+    R[start : start + 2, start : start + 2] = [
+        [np.cos(theta), -np.sin(theta)],
+        [np.sin(theta), np.cos(theta)],
+    ]
+    return R
+
+
+def test_per1_condition_iii_matches_brute_force():
+    rng = np.random.default_rng(113)
+    cases = []
+    for _ in range(16):
+        n, length = int(rng.integers(2, 6)), int(rng.integers(1, 11))
+        F = random_fusion_frame(rng, n, length, uniform=False)
+        # a symmetric orthogonal T (a reflection, e.g. any with det -1 in R^2)
+        # has sym(T P - P T) = 0 for every symmetric P, so use a rotation
+        T = random_orthogonal(rng, n)
+        T[:, 0] *= np.sign(np.linalg.det(T))
+        cases.append((T, F, False))
+        cases.append((np.eye(n), F, True))
+        spans = _coordinate_span_frame(rng, n, length)
+        cases.append((np.diag(rng.choice([-1.0, 1.0], size=n)), spans, True))
+        if n > 2:
+            # the span of e_1, e_2 and lines on the other axes: a rotation
+            # inside that plane commutes with every member
+            eye = np.eye(n)
+            members = [Subspace(n, eye[:, :2])]
+            members += [Subspace(n, eye[:, [k]]) for k in rng.integers(2, n, size=length - 1)]
+            blocks = FusionFrame.of_subspaces(members, rng.uniform(0.5, 2.0, size=length))
+            cases.append((_block_rotation(rng, n, 0), blocks, True))
+    for T, F, expected in cases:
+        v = per1_conditions(T, F)
+        verdict, overall, singles = _brute_force_iii(T, F, DEFAULT_TOL.frame_eps)
+        assert v.cond_iii is verdict is expected
+        (member,) = v.witnesses["worst_sigma"]
+        witness = v.witnesses["worst_commutator_min_eig"]
+        assert 1 <= member <= len(F)
+        np.testing.assert_allclose(witness, singles.min(), atol=1e-12)
+        np.testing.assert_allclose(witness, singles[member - 1], atol=1e-12)
+        # the least subset eigenvalue lies between L (n-1) times the
+        # singleton witness and the witness itself
+        n = F.ambient_dim
+        assert len(F) * (n - 1) * witness - 1e-12 <= overall <= witness + 1e-12
+
+
+def test_per1_large_length_reaches_enumeration_cap():
+    # 64 members: condition (iii) needs no subset draws, so the only limit
+    # left is the weaving enumeration of [F, TF]
+    theta = 0.3
+    R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    F = FusionFrame.of_subspaces([span_of([[1.0, 0.0]]), span_of([[0.0, 1.0]])] * 32)
+    with pytest.raises(EnumerationTooLarge):
+        per1_conditions(R, F)
+
+
 def _coordinate_block_frame(rng, n):
     count = int(rng.integers(1, n + 1))
     sizes = rng.multinomial(n - count, [1.0 / count] * count) + 1
@@ -236,11 +326,5 @@ def test_per1_condition_implies_woven_random():
         wide = [i for i, S in enumerate(F.subspaces) if S.dim >= 2]
         if wide:
             start = sum(F.subspaces[i].dim for i in range(wide[0]))
-            theta = rng.uniform(0.1, 1.0)
-            R = np.eye(n)
-            R[start : start + 2, start : start + 2] = [
-                [np.cos(theta), -np.sin(theta)],
-                [np.sin(theta), np.cos(theta)],
-            ]
-            v = per1_conditions(R, F)
+            v = per1_conditions(_block_rotation(rng, n, start), F)
             assert v.cond_iii is True and v.woven_verdict
