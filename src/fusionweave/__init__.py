@@ -78,7 +78,6 @@ from .weaving import (
     WeavingReport,
     assignments,
     construct_biorthogonal_riesz,
-    is_weakly_woven,
     riesz_weaving_report,
     transform_frames,
     weave,

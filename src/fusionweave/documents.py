@@ -89,8 +89,8 @@ def frame_from_dict(data: dict, tol: Tolerance = DEFAULT_TOL, where: str = "fram
         weight = raw.get("weight", 1.0)
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             raise ParseError(f"{spot}.weight: must be a number")
-        if not (weight > 0.0):
-            raise NonPositiveWeight(f"{spot}.weight: must be strictly positive, got {weight}")
+        if not (np.isfinite(weight) and weight > 0.0):
+            raise NonPositiveWeight(f"{spot}.weight: must be positive and finite, got {weight}")
         vectors = _as_vector_list(raw.get("vectors", []), dim, spot)
         subspace = span_of(vectors, tol, ambient_dim=dim)
         members.append(WeightedSubspace(subspace, float(weight)))

@@ -65,5 +65,5 @@ class ParseError(FusionWeaveError):
     """Raised on malformed input documents; message carries field diagnostics."""
 
 
-class NonPositiveWeight(FusionWeaveError):
-    """Raised when a subspace weight is not strictly positive."""
+class NonPositiveWeight(FusionWeaveError, ValueError):
+    """Raised when a subspace weight is not positive and finite."""

@@ -14,6 +14,7 @@ from .errors import (
     DimensionMismatch,
     DualityLost,
     LengthMismatch,
+    NonPositiveWeight,
     NotAFrame,
     PartOutsideSubspace,
 )
@@ -52,8 +53,8 @@ class WeightedSubspace:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not (self.weight > 0.0) or not np.isfinite(self.weight):
-            raise ValueError(f"weight must be strictly positive, got {self.weight}")
+        if not (np.isfinite(self.weight) and self.weight > 0.0):
+            raise NonPositiveWeight(f"weight must be positive and finite, got {self.weight}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,12 +141,17 @@ class DiscreteFrame:
     vectors: tuple[np.ndarray, ...]
 
 
+def _projector_stack(n: int, members: Sequence[WeightedSubspace]) -> np.ndarray:
+    """``(len(members), n, n)`` stack of ``w^2 B B^T``: the one place that
+    forms weighted projectors, for every frame operator and weaving."""
+    return np.array(
+        [m.weight**2 * (m.subspace.basis @ m.subspace.basis.T) for m in members]
+    ).reshape(len(members), n, n)
+
+
 def frame_operator(F: FusionFrame) -> np.ndarray:
     """The positive operator sum of weighted projectors of the family."""
-    S = np.zeros((F.ambient_dim, F.ambient_dim))
-    for m in F.members:
-        S += m.weight**2 * projector(m.subspace)
-    return S
+    return _projector_stack(F.ambient_dim, F.members).sum(axis=0)
 
 
 def analysis(F: FusionFrame, f) -> list[np.ndarray]:
@@ -313,10 +319,8 @@ def discrete_frame_bounds(
     D: DiscreteFrame, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[FrameBounds, bool]:
     """Extremal eigenvalues of the vector-system frame operator."""
-    S = np.zeros((D.ambient_dim, D.ambient_dim))
-    for v in D.vectors:
-        S += np.outer(v, v)
-    lo, hi = sym_eig_extremes(S, tol)
+    E = np.array(D.vectors).reshape(len(D.vectors), D.ambient_dim)
+    lo, hi = sym_eig_extremes(E.T @ E, tol)
     bounds = _clamped_bounds(lo, hi, tol)
     return bounds, bounds.lower > tol.frame_eps
 

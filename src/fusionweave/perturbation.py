@@ -23,13 +23,16 @@ from .errors import (
 from .frames import (
     FrameBounds,
     FusionFrame,
+    _projector_stack,
     frame_bounds,
     frame_bounds_on_span,
+    frame_operator,
     transform_frame,
 )
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _sym_eigvalsh,
     as_matrix,
     numerical_rank,
     operator_norm,
@@ -64,11 +67,7 @@ def partial_frame_operator(F: FusionFrame, sigma: Iterable[int]) -> np.ndarray:
     indices = sorted(set(int(i) for i in sigma))
     if any(i < 1 or i > len(F) for i in indices):
         raise IndexOutOfRange(f"indices must lie in 1..{len(F)}: {indices}")
-    S = np.zeros((F.ambient_dim, F.ambient_dim))
-    for i in indices:
-        m = F.members[i - 1]
-        S += m.weight**2 * projector(m.subspace)
-    return S
+    return _projector_stack(F.ambient_dim, [F.members[i - 1] for i in indices]).sum(axis=0)
 
 
 def lemma_commute_residual(T, V: Subspace, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -167,13 +166,9 @@ def operator1_check(
     rng = np.random.default_rng(seed)
     fs = rng.standard_normal((n, trials))
     norm_T = operator_norm(A)
-    base = np.zeros(trials)
-    middle = np.zeros(trials)
     At_fs = A.T @ fs
-    for m, left_m, right_m in zip(F.members, left.members, right.members):
-        w2 = m.weight**2
-        base += w2 * np.sum((right_m.subspace.basis.T @ fs) ** 2, axis=0)
-        middle += w2 * np.sum((left_m.subspace.basis.T @ At_fs) ** 2, axis=0)
+    base = np.sum(fs * (frame_operator(right) @ fs), axis=0)
+    middle = np.sum(At_fs * (frame_operator(left) @ At_fs), axis=0)
     slack = 1e-9 * np.maximum(1.0, norm_T**2 * base)
     chain_ok = bool(
         np.all(gamma**2 * base <= middle + slack) and np.all(middle <= norm_T**2 * base + slack)
@@ -260,7 +255,7 @@ def per1_conditions(
     if unitary:
         S = np.stack([partial_frame_operator(F, (i,)) for i in range(1, len(F) + 1)])
         comm = A @ S - S @ A
-        lam = np.linalg.eigvalsh(0.5 * (comm + comm.transpose(0, 2, 1)))[:, 0]
+        lam = _sym_eigvalsh(0.5 * (comm + comm.transpose(0, 2, 1)), tol)[:, 0]
         worst = int(np.argmin(lam))
         worst_sigma, worst_eig = (worst + 1,), float(lam[worst])
         cond_iii = worst_eig >= -tol.frame_eps

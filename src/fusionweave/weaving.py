@@ -6,17 +6,17 @@ An assignment maps every index to the label (1..M) of the frame that
 serves it; a partition block sigma_j is the preimage of label j and may
 be empty.  :func:`assignments` is the one place that orders assignments
 (lexicographically) and caps their number: it returns a lazy sequence
-over a ``(K, L)`` label array.  Beyond the cap a report draws a seeded
-uniform sample instead and is marked as sampled.
+over a ``(K, L)`` label array and raises ``EnumerationTooLarge`` beyond
+the cap.  Only a report asked for a seeded sample (``sample_count``)
+goes further, and it is then marked as sampled.
 
 Every weaving operator is a sum of one weighted projector per index.  A
-report therefore stacks the ``L*M`` weighted projectors once, as an
-``(L*M, n*n)`` matrix, and evaluates the assignments in chunks of fixed
-byte size: a one-hot ``(chunk, L*M)`` selection times the stack forms
-every operator of the chunk in one matrix product, and one batched
-``eigvalsh`` call gives their extremal eigenvalues.  The report keeps
-the results as arrays (``labels``, ``lower``, ``upper``, ``is_frame``)
-and builds per-assignment objects only when ``per_assignment`` is read.
+report stacks the ``L*M`` weighted projectors once, as an ``(L*M, n*n)``
+matrix, and walks the assignments in chunks of fixed byte size: a one-hot
+``(chunk, L*M)`` selection times the stack forms every operator of the
+chunk, and one batched eigen-solve gives their spectra.  Each report
+reduces a chunk's spectra as they arrive, into arrays; the Riesz report
+runs its two-sided weavings through the same kernel with unit weights.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
     LengthMismatch,
-    NonSymmetric,
     NonUniformWeights,
     NotOrthonormalBasis,
     SingularOperator,
@@ -39,13 +38,14 @@ from .frames import (
     FrameBounds,
     FusionFrame,
     _clamp_psd,
+    _projector_stack,
     is_orthonormal_fusion_basis,
-    riesz_sequence_bounds,
     transform_frame,
 )
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _sym_eigvalsh,
     as_matrix,
     numerical_rank,
     operator_norm,
@@ -65,7 +65,6 @@ __all__ = [
     "assignments",
     "weave",
     "weaving_report",
-    "is_weakly_woven",
     "riesz_weaving_report",
     "construct_biorthogonal_riesz",
     "transform_frames",
@@ -248,12 +247,8 @@ def weave(frames: Sequence[FusionFrame], a: Assignment) -> FusionFrame:
 def _weighted_projectors(frames: Sequence[FusionFrame]) -> np.ndarray:
     """``(L*M, n*n)`` stack; row ``i*M + j`` is ``w^2 P`` of member i of frame j."""
     n, length = _check_frames(frames)
-    stack = np.empty((length, len(frames), n, n))
-    for j, F in enumerate(frames):
-        for i, m in enumerate(F.members):
-            B = m.subspace.basis
-            stack[i, j] = m.weight**2 * (B @ B.T)
-    return stack.reshape(length * len(frames), n * n)
+    stacks = [_projector_stack(n, F.members) for F in frames]
+    return np.stack(stacks, axis=1).reshape(length * len(frames), n * n)
 
 
 def _chunk_rows(n: int, width: int) -> int:
@@ -261,36 +256,25 @@ def _chunk_rows(n: int, width: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * max(n * n, width)))
 
 
-def _weaving_bounds(
+def _chunk_spectra(
     frames: Sequence[FusionFrame], labels: np.ndarray, tol: Tolerance
-) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped extremal eigenvalues of the weaving operator of every label row.
-
-    Raises ``NonSymmetric`` when an operator fails
-    ``||S - S^T||_F <= orth_tol * max|lambda|``, and applies the PSD clamp
-    rule of :func:`frame_bounds`.
-    """
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield ``(rows, eigs)`` per chunk: a slice of ``labels`` and the ascending
+    spectra ``(chunk, n)`` of those rows' weaving operators.  Nothing for n == 0."""
     n = frames[0].ambient_dim
-    K, length = labels.shape
     if n == 0:
-        return np.zeros(K), np.zeros(K)
+        return
     stack = _weighted_projectors(frames)
     width = stack.shape[0]
-    columns = np.arange(length) * len(frames) - 1  # label v at index i picks row i*M + v - 1
-    lower, upper = np.empty(K), np.empty(K)
+    # label v at index i picks row i*M + v - 1
+    columns = np.arange(labels.shape[1]) * len(frames) - 1
     step = _chunk_rows(n, width)
-    for start in range(0, K, step):
+    for start in range(0, labels.shape[0], step):
         rows = labels[start : start + step]
         onehot = np.zeros((rows.shape[0], width))
         np.put_along_axis(onehot, rows + columns, 1.0, axis=1)
         S = (onehot @ stack).reshape(-1, n, n)
-        St = S.transpose(0, 2, 1)
-        eigs = np.linalg.eigvalsh(0.5 * (S + St))
-        lo, hi = eigs[:, 0], eigs[:, -1]
-        if np.any(np.linalg.norm(S - St, axis=(1, 2)) > tol.orth_tol * np.maximum(-lo, hi)):
-            raise NonSymmetric("weaving operator is not symmetric within orth_tol")
-        lower[start : start + step], upper[start : start + step] = _clamp_psd(lo, hi, tol)
-    return lower, upper
+        yield slice(start, start + rows.shape[0]), _sym_eigvalsh(S, tol)
 
 
 def weaving_report(
@@ -318,7 +302,9 @@ def weaving_report(
         rng = np.random.default_rng(seed)
         drawn = rng.integers(1, M + 1, size=(sample_count, length))
         labels = drawn[np.lexsort(drawn.T[::-1])].astype(_label_dtype(M))
-    lower, upper = _weaving_bounds(frames, labels, tol)
+    lower, upper = np.zeros(labels.shape[0]), np.zeros(labels.shape[0])
+    for rows, eigs in _chunk_spectra(frames, labels, tol):  # PSD clamp rule of frame_bounds
+        lower[rows], upper[rows] = _clamp_psd(eigs[:, 0], eigs[:, -1], tol)
     return WeavingReport(
         labels=labels,
         lower=lower,
@@ -329,24 +315,11 @@ def weaving_report(
     )
 
 
-def is_weakly_woven(
-    frames: Sequence[FusionFrame], tol: Tolerance = DEFAULT_TOL, enum_cap: int = ENUM_CAP
-) -> bool:
-    """True iff every weaving is a fusion frame.
-
-    At finite scale this coincides with the existence of universal bounds,
-    so the value always equals ``weaving_report(...).woven`` in exhaustive
-    mode.
-    """
-    return weaving_report(frames, tol, enum_cap=enum_cap).woven
-
-
 @dataclass(frozen=True)
 class RieszWeavingEntry:
     subset: tuple[int, ...]  # 1-based indices served by the first frame
     bounds: FrameBounds
     is_riesz_sequence: bool
-    rank: int
     is_riesz_basis: bool
 
 
@@ -364,30 +337,46 @@ def riesz_weaving_report(
 ) -> RieszWeavingReport:
     """Riesz-sequence bounds of every two-sided weaving of 1-uniform frames.
 
-    For each subset sigma the family takes W on sigma and V on the
-    complement; the verdicts record whether every weaving is a Riesz
-    sequence and whether every weaving is additionally complete.
+    Row k takes W on the set bits of k (``subset``, 1-based) and V
+    elsewhere.  With t concatenated basis columns E, the bounds are the
+    extremal squared singular values of E, read off the ascending spectrum
+    of ``E E^T = sum_i P_i``: ``upper = lambda_max``, ``lower = lambda[n - t]``
+    for ``0 < t <= n`` and 0 otherwise.  A Riesz sequence has
+    ``lower > frame_eps``; a basis also has ``t == n``, since that lower
+    bound means full column rank t.  The numerical rank of E (singular
+    values above ``rank_tol * s_max``, with ``s_max^2 <= L``) could only
+    disagree if ``rank_tol^2 * L >= frame_eps``: L > 10^11 by default.
     """
     if not W.is_uniform or not V.is_uniform:
         raise NonUniformWeights("Riesz weaving is defined for weight-1 families")
     n, length = _check_frames([W, V])
-    if 2**length > enum_cap:
-        raise EnumerationTooLarge(f"2^{length} subsets exceed cap {enum_cap}")
-    entries = []
-    for mask in range(2**length):
-        subset = tuple(i + 1 for i in range(length) if mask >> i & 1)
-        family = [
-            W.subspaces[i] if (mask >> i & 1) else V.subspaces[i] for i in range(length)
-        ]
-        bounds, is_seq = riesz_sequence_bounds(family, tol)
-        rank = numerical_rank(np.hstack([S.basis for S in family]), tol)
-        entries.append(RieszWeavingEntry(subset, bounds, is_seq, rank, is_seq and rank == n))
+    # lexicographic order reversed on both axes: label 1 (W) at i iff bit i of k
+    labels = assignments(length, 2, enum_cap).labels[::-1, ::-1]
+    dims = np.array([[S.dim for S in F.subspaces] for F in (W, V)])
+    unit = [FusionFrame.of_subspaces(F.subspaces) for F in (W, V)]
+    columns = np.zeros(labels.shape[0], dtype=int)
+    lower, upper = np.zeros(labels.shape[0]), np.zeros(labels.shape[0])
+    for rows, eigs in _chunk_spectra(unit, labels, tol):
+        columns[rows] = t = np.where(labels[rows] == 1, dims[0], dims[1]).sum(axis=1)
+        least = eigs[np.arange(t.size), np.clip(n - t, 0, n - 1)]
+        full = (t > 0) & (t <= n)
+        lower[rows], upper[rows] = _clamp_psd(np.where(full, least, 0.0), eigs[:, -1], tol)
+    is_sequence = lower > tol.frame_eps
+    is_basis = is_sequence & (columns == n)
+    entries = tuple(
+        RieszWeavingEntry(
+            tuple(i + 1 for i, v in enumerate(row) if v == 1), FrameBounds(lo, hi), seq, basis
+        )
+        for row, lo, hi, seq, basis in zip(
+            labels.tolist(), lower.tolist(), upper.tolist(), is_sequence.tolist(), is_basis.tolist()
+        )
+    )
     return RieszWeavingReport(
-        per_subset=tuple(entries),
-        all_riesz_sequences=all(e.is_riesz_sequence for e in entries),
-        all_riesz_bases=all(e.is_riesz_basis for e in entries),
-        universal_lower=min(e.bounds.lower for e in entries),
-        universal_upper=max(e.bounds.upper for e in entries),
+        per_subset=entries,
+        all_riesz_sequences=bool(is_sequence.all()),
+        all_riesz_bases=bool(is_basis.all()),
+        universal_lower=float(lower.min()),
+        universal_upper=float(upper.max()),
     )
 
 

@@ -9,6 +9,7 @@ from conftest import (
 )
 from fusionweave import (
     FusionFrame,
+    NonPositiveWeight,
     NotAFrame,
     PartOutsideSubspace,
     Subspace,
@@ -46,6 +47,10 @@ def test_weighted_subspace_rejects_bad_weight():
         WeightedSubspace(Subspace.full(2), 0.0)
     with pytest.raises(ValueError):
         WeightedSubspace(Subspace.full(2), -1.0)
+    # the same error type the document loader raises, still a ValueError
+    for weight in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NonPositiveWeight, match="must be positive and finite"):
+            WeightedSubspace(Subspace.full(2), weight)
 
 
 def test_frame_operator_examples():

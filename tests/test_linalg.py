@@ -104,6 +104,33 @@ def test_sym_eig_rejects_nonsymmetric():
         sym_eig_extremes(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("factor, accepted", [(1.0 - 1e-3, True), (1.0 + 1e-3, False)])
+def test_sym_eig_symmetry_guard_boundary(factor, accepted):
+    # the guard accepts ||S - S^T||_F <= orth_tol * max|lambda| and nothing more
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((4, 4))
+    sym = A + A.T
+    scale = np.max(np.abs(np.linalg.eigvalsh(sym)))
+    K = np.triu(rng.standard_normal((4, 4)), 1)
+    K = K - K.T
+    # ||S - S^T||_F = 2 ||K||_F
+    K *= factor * Tolerance().orth_tol * scale / (2.0 * np.linalg.norm(K))
+    if accepted:
+        lo, hi = sym_eig_extremes(sym + K)
+        assert type(lo) is float and type(hi) is float
+        assert max(-lo, hi) == pytest.approx(scale, rel=1e-12)
+    else:
+        with pytest.raises(NonSymmetric):
+            sym_eig_extremes(sym + K)
+
+
+def test_sym_eig_zero_and_empty():
+    for S in (np.zeros((3, 3)), np.zeros((0, 0))):
+        lo, hi = sym_eig_extremes(S)
+        assert (lo, hi) == (0.0, 0.0)
+        assert type(lo) is float and type(hi) is float
+
+
 def test_sym_eig_sandwich_property():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((6, 6))

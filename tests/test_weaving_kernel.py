@@ -1,5 +1,6 @@
-"""The chunked weaving kernel against the per-weaving reference path, and
-the lazy assignment sequence that feeds it."""
+"""The chunked weaving kernel against the per-weaving reference path, the
+Riesz weaving report against the per-subset reference path, and the lazy
+assignment sequence that feeds them."""
 
 import itertools
 import math
@@ -14,12 +15,16 @@ from fusionweave import (
     NonSymmetric,
     Subspace,
     assignments,
+    canonical_dual,
     frame_bounds,
+    numerical_rank,
+    riesz_sequence_bounds,
+    riesz_weaving_report,
     weave,
     weaving_report,
 )
 from fusionweave import weaving
-from fusionweave.generators import random_subspace
+from fusionweave.generators import random_riesz_fusion_basis, random_subspace
 
 
 def _frame(rng, n, count):
@@ -107,8 +112,7 @@ def test_sampled_rows_sorted_with_duplicates():
         assert report.upper[k] == pytest.approx(full.upper[rank], abs=1e-12)
 
 
-def test_one_eigen_solve_per_chunk(monkeypatch):
-    rng = np.random.default_rng(11)
+def _count_eigen_solves(monkeypatch) -> list:
     calls = []
     real = np.linalg.eigvalsh
 
@@ -117,6 +121,12 @@ def test_one_eigen_solve_per_chunk(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_one_eigen_solve_per_chunk(monkeypatch):
+    rng = np.random.default_rng(11)
+    calls = _count_eigen_solves(monkeypatch)
     for n, L, M in ((4, 3, 2), (4, 11, 2), (2, 7, 3)):
         frames = [_frame(rng, n, L) for _ in range(M)]
         calls.clear()
@@ -158,3 +168,79 @@ def test_clamp_rule(monkeypatch, shift, clamped):
     else:
         with pytest.raises(ValueError, match="PSD"):
             weaving_report(frames)
+
+
+def _unit_frame(rng, n, count):
+    """Weight-1 random subspaces of dimensions 0..n."""
+    dims = rng.integers(0, n + 1, size=count)
+    return FusionFrame.of_subspaces(
+        [Subspace.zero(n) if d == 0 else random_subspace(rng, n, int(d)) for d in dims]
+    )
+
+
+def _coordinate_frame(rng, n, count):
+    """Spans of up to two coordinate vectors, so directions repeat across members."""
+    eye = np.eye(n)
+    subs = []
+    for _ in range(count):
+        picked = np.sort(rng.choice(n, size=int(rng.integers(0, min(n, 2) + 1)), replace=False))
+        subs.append(Subspace(n, eye[:, picked]) if picked.size else Subspace.zero(n))
+    return FusionFrame.of_subspaces(subs)
+
+
+def _riesz_grid():
+    rng = np.random.default_rng(4101)
+    cases = []
+    for n in range(1, 7):
+        L = int(rng.integers(1, 8))
+        cases.append((_unit_frame(rng, n, L), _unit_frame(rng, n, L)))
+        cases.append((_coordinate_frame(rng, n, L), _coordinate_frame(rng, n, L)))
+        F, _, _ = random_riesz_fusion_basis(rng, n, int(rng.integers(1, n + 1)))
+        cases.append((F, canonical_dual(F)))
+        G, _, _ = random_riesz_fusion_basis(rng, n, len(F))
+        cases.append((F, G))
+    return cases
+
+
+def _riesz_reference(W, V, mask):
+    """The per-subset path: W on the set bits of mask, V elsewhere."""
+    n, L = W.ambient_dim, len(W)
+    family = [W.subspaces[i] if mask >> i & 1 else V.subspaces[i] for i in range(L)]
+    bounds, is_seq = riesz_sequence_bounds(family)
+    rank = numerical_rank(np.hstack([S.basis for S in family]))
+    subset = tuple(i + 1 for i in range(L) if mask >> i & 1)
+    return subset, bounds, is_seq, is_seq and rank == n
+
+
+@pytest.mark.parametrize("W, V", _riesz_grid())
+@pytest.mark.parametrize("chunk_rows", [None, 3])
+def test_riesz_report_matches_per_subset_reference(monkeypatch, W, V, chunk_rows):
+    n, L = W.ambient_dim, len(W)
+    if chunk_rows is not None:  # several chunks, so rows cross chunk boundaries
+        monkeypatch.setattr(weaving, "_CHUNK_BYTES", 8 * max(n * n, 2 * L) * chunk_rows)
+    calls = _count_eigen_solves(monkeypatch)
+    report = riesz_weaving_report(W, V)
+    assert len(calls) == math.ceil(2**L / weaving._chunk_rows(n, 2 * L))
+    assert len(report.per_subset) == 2**L
+    reference = [_riesz_reference(W, V, mask) for mask in range(2**L)]
+    for entry, (subset, bounds, is_seq, is_basis) in zip(report.per_subset, reference):
+        assert entry.subset == subset
+        assert entry.is_riesz_sequence == is_seq
+        assert entry.is_riesz_basis == is_basis
+        assert abs(entry.bounds.lower - bounds.lower) <= 1e-12
+        assert abs(entry.bounds.upper - bounds.upper) <= 1e-12
+    assert report.all_riesz_sequences == all(r[2] for r in reference)
+    assert report.all_riesz_bases == all(r[3] for r in reference)
+    assert abs(report.universal_lower - min(r[1].lower for r in reference)) <= 1e-12
+    assert abs(report.universal_upper - max(r[1].upper for r in reference)) <= 1e-12
+    with pytest.raises(EnumerationTooLarge):
+        riesz_weaving_report(W, V, enum_cap=2**L - 1)
+
+
+def test_riesz_grid_covers_every_verdict():
+    verdicts = set()
+    for W, V in _riesz_grid():
+        for mask in range(2 ** len(W)):
+            _, _, is_seq, is_basis = _riesz_reference(W, V, mask)
+            verdicts.add((is_seq, is_basis))
+    assert verdicts == {(False, False), (True, False), (True, True)}
