@@ -17,10 +17,17 @@ matrix, and walks the assignments in chunks of fixed byte size: a one-hot
 chunk, and one batched eigen-solve gives their spectra.  Each report
 reduces a chunk's spectra as they arrive, into arrays; the Riesz report
 runs its two-sided weavings through the same kernel with unit weights.
+
+An exhaustive weaving report solves each distinct weaving once: an index
+whose ``M`` weighted projectors are bitwise equal adds the same summand
+whatever its label, so only the assignments of the other indices reach the
+kernel, and every row of the report takes the bounds of its reduced rank.
+The cap still counts all ``M^L`` rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -143,7 +150,10 @@ class WeavingReport:
     ``frame_count`` frames); ``lower[k]`` and ``upper[k]`` are the optimal
     bounds of its weaving and ``is_frame[k]`` says whether ``lower[k]``
     exceeds ``frame_eps``.  Rows are in lexicographic order; a sampled
-    report keeps repeated draws.
+    report keeps repeated draws.  ``solved`` counts the rows that were
+    eigen-solved: ``M^L'`` when exhaustive, where ``shared`` of the L
+    indices carry the same weighted projector in every frame and
+    ``L' = L - shared``; every draw when sampled (``shared`` is then 0).
     """
 
     labels: np.ndarray
@@ -152,6 +162,8 @@ class WeavingReport:
     is_frame: np.ndarray
     frame_count: int
     sampled: bool
+    solved: int
+    shared: int
 
     @property
     def enumerated(self) -> int:
@@ -245,10 +257,10 @@ def weave(frames: Sequence[FusionFrame], a: Assignment) -> FusionFrame:
 
 
 def _weighted_projectors(frames: Sequence[FusionFrame]) -> np.ndarray:
-    """``(L*M, n*n)`` stack; row ``i*M + j`` is ``w^2 P`` of member i of frame j."""
+    """``(L, M, n*n)`` stack; row ``[i, j]`` is ``w^2 P`` of member i of frame j."""
     n, length = _check_frames(frames)
     stacks = [_projector_stack(n, F.members) for F in frames]
-    return np.stack(stacks, axis=1).reshape(length * len(frames), n * n)
+    return np.stack(stacks, axis=1).reshape(length, len(frames), n * n)
 
 
 def _chunk_rows(n: int, width: int) -> int:
@@ -257,21 +269,22 @@ def _chunk_rows(n: int, width: int) -> int:
 
 
 def _chunk_spectra(
-    frames: Sequence[FusionFrame], labels: np.ndarray, tol: Tolerance
+    stack: np.ndarray, labels: np.ndarray, tol: Tolerance
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield ``(rows, eigs)`` per chunk: a slice of ``labels`` and the ascending
-    spectra ``(chunk, n)`` of those rows' weaving operators.  Nothing for n == 0."""
-    n = frames[0].ambient_dim
+    spectra ``(chunk, n)`` of those rows' weaving operators, summed from the
+    ``(L, M, n*n)`` projector stack.  Nothing for n == 0."""
+    length, M, nn = stack.shape
+    n = math.isqrt(nn)
     if n == 0:
         return
-    stack = _weighted_projectors(frames)
-    width = stack.shape[0]
+    stack = stack.reshape(length * M, nn)
     # label v at index i picks row i*M + v - 1
-    columns = np.arange(labels.shape[1]) * len(frames) - 1
-    step = _chunk_rows(n, width)
+    columns = np.arange(length) * M - 1
+    step = _chunk_rows(n, length * M)
     for start in range(0, labels.shape[0], step):
         rows = labels[start : start + step]
-        onehot = np.zeros((rows.shape[0], width))
+        onehot = np.zeros((rows.shape[0], length * M))
         np.put_along_axis(onehot, rows + columns, 1.0, axis=1)
         S = (onehot @ stack).reshape(-1, n, n)
         yield slice(start, start + rows.shape[0]), _sym_eigvalsh(S, tol)
@@ -291,20 +304,41 @@ def weaving_report(
     ``sampled``.  Rows are in lexicographic assignment order either way
     (sampled rows keep duplicates), so the output is deterministic for
     fixed inputs and seed.
+
+    An exhaustive report solves each distinct weaving once.  Index i is
+    shared when its ``M`` weighted projectors are bitwise equal: every
+    label there adds the same summand to the weaving operator, so the
+    operator does not depend on it.  Only the
+    ``M^L'`` assignments of the ``L'`` free indices are solved, with the
+    shared indices at label 1, and every row takes the bounds of its free
+    labels' rank.
     """
     n, length = _check_frames(frames)
     M = len(frames)
+    stack = _weighted_projectors(frames)
     if sample_count is None:
         labels = assignments(length, M, enum_cap).labels
+        bits = stack.view(np.uint64)
+        shared = (bits == bits[:, :1]).all(axis=(1, 2))
     else:
         if sample_count < 1:
             raise ValueError("sample_count must be positive")
         rng = np.random.default_rng(seed)
         drawn = rng.integers(1, M + 1, size=(sample_count, length))
         labels = drawn[np.lexsort(drawn.T[::-1])].astype(_label_dtype(M))
-    lower, upper = np.zeros(labels.shape[0]), np.zeros(labels.shape[0])
-    for rows, eigs in _chunk_spectra(frames, labels, tol):  # PSD clamp rule of frame_bounds
+        shared = np.zeros(length, dtype=bool)  # every draw is solved
+    solve = labels[(labels[:, shared] == 1).all(axis=1)] if shared.any() else labels
+    lower, upper = np.zeros(solve.shape[0]), np.zeros(solve.shape[0])
+    for rows, eigs in _chunk_spectra(stack, solve, tol):  # PSD clamp rule of frame_bounds
         lower[rows], upper[rows] = _clamp_psd(eigs[:, 0], eigs[:, -1], tol)
+    if solve is not labels:
+        # row k's rank among the solved rows: its free labels as base-M digits
+        rank = np.zeros(labels.shape[0], dtype=np.int64)
+        for column in labels.T[~shared]:
+            rank *= M
+            rank += column
+            rank -= 1
+        lower, upper = lower[rank], upper[rank]
     return WeavingReport(
         labels=labels,
         lower=lower,
@@ -312,6 +346,8 @@ def weaving_report(
         is_frame=lower > tol.frame_eps,
         frame_count=M,
         sampled=sample_count is not None,
+        solved=solve.shape[0],
+        shared=int(shared.sum()),
     )
 
 
@@ -342,10 +378,8 @@ def riesz_weaving_report(
     extremal squared singular values of E, read off the ascending spectrum
     of ``E E^T = sum_i P_i``: ``upper = lambda_max``, ``lower = lambda[n - t]``
     for ``0 < t <= n`` and 0 otherwise.  A Riesz sequence has
-    ``lower > frame_eps``; a basis also has ``t == n``, since that lower
-    bound means full column rank t.  The numerical rank of E (singular
-    values above ``rank_tol * s_max``, with ``s_max^2 <= L``) could only
-    disagree if ``rank_tol^2 * L >= frame_eps``: L > 10^11 by default.
+    ``lower > frame_eps``; a basis also has ``t == n``, the test of
+    :func:`~fusionweave.frames.is_riesz_basis`.
     """
     if not W.is_uniform or not V.is_uniform:
         raise NonUniformWeights("Riesz weaving is defined for weight-1 families")
@@ -356,7 +390,7 @@ def riesz_weaving_report(
     unit = [FusionFrame.of_subspaces(F.subspaces) for F in (W, V)]
     columns = np.zeros(labels.shape[0], dtype=int)
     lower, upper = np.zeros(labels.shape[0]), np.zeros(labels.shape[0])
-    for rows, eigs in _chunk_spectra(unit, labels, tol):
+    for rows, eigs in _chunk_spectra(_weighted_projectors(unit), labels, tol):
         columns[rows] = t = np.where(labels[rows] == 1, dims[0], dims[1]).sum(axis=1)
         least = eigs[np.arange(t.size), np.clip(n - t, 0, n - 1)]
         full = (t > 0) & (t <= n)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 
@@ -8,6 +9,7 @@ import pytest
 from conftest import plane_axis_frame
 from fusionweave import (
     DimensionMismatch,
+    FusionFrame,
     NonPositiveWeight,
     ParseError,
     canonical_dual,
@@ -18,8 +20,11 @@ from fusionweave import (
     operator_norm,
     projector,
     save_frame,
+    weaving_report,
 )
+from fusionweave import cli
 from fusionweave.cli import main
+from fusionweave.generators import random_fusion_frame
 from fusionweave.worked_examples import builtin_path
 
 PLANE_AXIS_DOC = {
@@ -112,6 +117,26 @@ def test_cli_check_and_riesz_exit_codes(tmp_path):
     assert main(["check", short]) == 1
 
 
+def test_cli_riesz_one_svd_per_call(tmp_path, monkeypatch, capsys):
+    short = write_json(
+        tmp_path / "short.json",
+        {"dim": 3, "subspaces": [{"vectors": [[1, 0, 0]]}, {"vectors": [[0, 1, 1]]}]},
+    )
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
+    cases = ((coords_path(), "yes", "yes"), (enlarged_path(), "no", "no"), (short, "yes", "no"))
+    for path, sequence, basis in cases:
+        load_frame(path)
+        loading = len(calls)
+        calls.clear()
+        assert main(["riesz", path]) == (0 if basis == "yes" else 1)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"riesz sequence: {sequence}", f"riesz basis: {basis}"]
+        assert len(calls) - loading == 1
+        calls.clear()
+
+
 def test_cli_input_errors(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.json")]) == 2
     bad = write_json(tmp_path / "bad.json", {"dim": 2, "subspaces": [{"vectors": [[1, 0]], "weight": -1}]})
@@ -188,7 +213,12 @@ def test_cli_weave_witnesses_and_sampled_label(tmp_path, capsys):
     assert lines[:2] == ["weavings evaluated: 8 [exhaustive]", "woven: yes"]
     assert lines[2].startswith("universal bounds: ")
     # C = 1 is first attained by 1-1-1; D = 2 needs the plane, i.e. label 2 at index 1
-    assert lines[3:] == ["witness C: 1-1-1", "witness D: 2-1-1"]
+    # only index 1 differs between the two frames: 2 of the 8 weavings are solved
+    assert lines[3:] == [
+        "witness C: 1-1-1",
+        "witness D: 2-1-1",
+        "weavings solved: 2 of 2^3 (2 of 3 members shared)",
+    ]
 
     swapped = write_json(
         tmp_path / "swapped.json",
@@ -201,12 +231,74 @@ def test_cli_weave_witnesses_and_sampled_label(tmp_path, capsys):
     assert main(["weave", coords2, swapped]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "woven: no"
-    assert lines[3:] == ["witness C: 1-2", "witness D: 1-2"]
+    assert lines[3:] == [
+        "witness C: 1-2",
+        "witness D: 1-2",
+        "weavings solved: 4 of 2^2 (0 of 2 members shared)",
+    ]
 
     assert main(["weave", coords_path(), enlarged_path(), "--sample", "4", "--seed", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "weavings evaluated: 4 [sampled (4 draws)]"
     assert lines[1] == "woven: yes (sampled estimate over 4 draws, not a proof)"
+    assert lines[5] == "weavings solved: 4 of 2^3 (sampled)"
+
+
+def _reference_weave_csv(path, report):
+    """The per-row writer: csv.writer, ``.17g`` text and ``"-".join`` on every row."""
+    M = report.frame_count
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["assignment_id", "labels", "lambda_min", "lambda_max", "is_frame"])
+        rows = zip(*(a.tolist() for a in (report.labels, report.lower, report.upper, report.is_frame)))
+        for k, (row, lo, hi, ok) in enumerate(rows):
+            if report.sampled:
+                k = sum((v - 1) * M ** (len(row) - 1 - i) for i, v in enumerate(row))
+            flag = "true" if ok else "false"
+            writer.writerow([k, "-".join(map(str, row)), f"{lo:.17g}", f"{hi:.17g}", flag])
+        writer.writerow(
+            [
+                "universal",
+                "",
+                f"{report.universal_lower:.17g}",
+                f"{report.universal_upper:.17g}",
+                "true" if report.woven else "false",
+            ]
+        )
+
+
+def _csv_reports():
+    rng = np.random.default_rng(2718)
+    frames = lambda M, n, L: [random_fusion_frame(rng, n, L, uniform=False) for _ in range(M)]
+    pair = frames(2, 3, 12)
+    pair[1] = FusionFrame(3, pair[0].members[:9] + pair[1].members[9:])  # 9 of 12 members shared
+    exhaustive = weaving_report(pair)
+    assert exhaustive.enumerated > cli._CSV_BLOCK_ROWS and exhaustive.solved == 8
+    sampled = weaving_report(frames(2, 3, 4), sample_count=200, seed=1)
+    assert len(np.unique(sampled.labels, axis=0)) < sampled.enumerated
+    # values that compare equal or print alike must keep their own text
+    signed = np.where(np.arange(exhaustive.enumerated) % 3 == 0, -0.0, 0.0)
+    upper = np.where(np.arange(exhaustive.enumerated) % 2 == 0, 0.1 + 0.2, 0.3)
+    zeros = dataclasses.replace(exhaustive, lower=signed, upper=upper, is_frame=signed > 0)
+    return [
+        exhaustive,
+        sampled,
+        zeros,
+        weaving_report(frames(11, 2, 2)),  # labels up to 11-11
+        weaving_report(frames(12, 2, 5), sample_count=60, seed=4),
+        weaving_report(frames(2, 1, 70), sample_count=20, seed=2),  # ranks beyond int64
+    ]
+
+
+@pytest.mark.parametrize("report", _csv_reports())
+@pytest.mark.parametrize("block_rows", [None, 7])
+def test_weave_csv_matches_per_row_reference(tmp_path, monkeypatch, report, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    cli._write_weave_csv(str(got), report)
+    _reference_weave_csv(want, report)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_cli_perturb_checks(tmp_path, capsys):

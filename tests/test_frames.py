@@ -26,6 +26,7 @@ from fusionweave import (
     is_orthonormal_fusion_basis,
     is_riesz_basis,
     mixed_frame_operator,
+    numerical_rank,
     operator_norm,
     projector,
     range_space,
@@ -34,7 +35,7 @@ from fusionweave import (
     synthesis,
     to_discrete,
 )
-from fusionweave.generators import random_fusion_frame, random_riesz_fusion_basis
+from fusionweave.generators import random_fusion_frame, random_riesz_fusion_basis, random_subspace
 
 
 def line_pair_frame():
@@ -340,3 +341,38 @@ def test_riesz_and_orthonormal_basis_checks():
 
     assert is_riesz_basis(line_pair_frame())
     assert not is_orthonormal_fusion_basis(line_pair_frame())
+
+
+def _riesz_basis_by_rank(F):
+    """The rank path: a Riesz sequence whose concatenated bases have numerical rank n."""
+    _, ok = riesz_sequence_bounds(F.subspaces)
+    return ok and numerical_rank(np.hstack([S.basis for S in F.subspaces])) == F.ambient_dim
+
+
+def _riesz_families():
+    rng = np.random.default_rng(8128)
+    families = []
+    for n in range(1, 7):
+        for _ in range(8):
+            dims = rng.integers(0, n + 1, size=int(rng.integers(1, 5)))
+            subs = [random_subspace(rng, n, int(d)) for d in dims]
+            families.append(FusionFrame.of_subspaces(subs))
+        F, _, _ = random_riesz_fusion_basis(rng, n, int(rng.integers(1, n + 1)))
+        families.append(F)
+        if len(F) > 1:
+            families.append(FusionFrame.of_subspaces(F.subspaces[1:]))  # a sequence, not a basis
+    # two lines at a small angle: lower bound 1 - cos(angle), on both sides of frame_eps
+    for angle in (1e-3, 1e-4, 4.4e-5, 4.5e-5, 1e-5, 1e-7):
+        tilted = span_of([[np.cos(angle), np.sin(angle)]])
+        families.append(FusionFrame.of_subspaces([span_of([[1.0, 0.0]]), tilted]))
+    return families
+
+
+def test_riesz_basis_matches_rank_path():
+    verdicts = set()
+    for F in _riesz_families():
+        _, is_seq = riesz_sequence_bounds(F.subspaces)
+        assert is_riesz_basis(F) == _riesz_basis_by_rank(F)
+        verdicts.add((is_seq, is_riesz_basis(F)))
+    assert verdicts == {(False, False), (True, False), (True, True)}
+

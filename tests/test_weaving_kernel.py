@@ -127,13 +127,99 @@ def _count_eigen_solves(monkeypatch) -> list:
 def test_one_eigen_solve_per_chunk(monkeypatch):
     rng = np.random.default_rng(11)
     calls = _count_eigen_solves(monkeypatch)
+    shared_seen = 0
     for n, L, M in ((4, 3, 2), (4, 11, 2), (2, 7, 3)):
         frames = [_frame(rng, n, L) for _ in range(M)]
+        # random members of positive dimension differ; an index whose members
+        # are all zero-dimensional adds the zero projector whatever its label
+        free = sum(any(F.subspaces[i].dim > 0 for F in frames) for i in range(L))
+        shared_seen += L - free
         calls.clear()
         weaving_report(frames)
         chunk = weaving._chunk_rows(n, L * M)
-        assert len(calls) == math.ceil(M**L / chunk)
-        assert sum(shape[0] for shape in calls) == M**L
+        assert len(calls) == math.ceil(M**free / chunk)
+        assert sum(shape[0] for shape in calls) == M**free
+    assert shared_seen > 0
+
+
+def _separate_copies(F):
+    """The same members as new objects, as two documents loading them would give."""
+    return FusionFrame.of_subspaces(
+        [Subspace(S.ambient_dim, S.basis.copy()) for S in F.subspaces], F.weights.copy()
+    )
+
+
+def _reduction_cases():
+    """(frames, shared indices), the shared indices known by construction."""
+    rng = np.random.default_rng(5309)
+    n = 4
+    positive = lambda: random_subspace(rng, n, int(rng.integers(1, n + 1)))
+    # members of positive dimension drawn at random: no two are equal
+    base, other, third = (
+        FusionFrame.of_subspaces([positive() for _ in range(6)], rng.uniform(0.5, 2.0, 6))
+        for _ in range(3)
+    )
+
+    def mix(into, source, indices):
+        """``into`` with source's members (as new objects) at the given indices."""
+        copy = _separate_copies(source)
+        members = [copy.members[i] if i in indices else m for i, m in enumerate(into.members)]
+        return FusionFrame(n, tuple(members))
+
+    def zeros_then_positive(weights):
+        subs = [Subspace.zero(n)] * 3 + [positive() for _ in range(3)]
+        return FusionFrame.of_subspaces(subs, weights)
+
+    def full_line_full(weights):
+        return FusionFrame.of_subspaces([Subspace.full(n), positive(), Subspace.full(n)], weights)
+
+    F = _frame(rng, n, 6)
+    return [
+        # identical members as separate objects
+        ([base, mix(other, base, {0, 2, 5})], {0, 2, 5}),
+        # zero-dimensional members with different weights: all add the zero projector
+        (
+            [zeros_then_positive([0.5, 1.0, 2.0, 1, 1, 1]), zeros_then_positive([3.0, 0.7, 1.1, 1, 1, 1])],
+            {0, 1, 2},
+        ),
+        # full-space members: equal weights share, different weights do not
+        ([full_line_full([1.5, 1.0, 0.8]), full_line_full([1.5, 1.0, 0.9])], {0}),
+        ([F], set(range(6))),
+        ([F, _separate_copies(F), F], set(range(6))),
+        ([base, other], set()),
+        # weights one part in 10^12 apart: no tolerance, so nothing is shared
+        ([base, FusionFrame.of_subspaces(base.subspaces, base.weights * (1 + 1e-12))], set()),
+        # equal in two of three frames only
+        ([base, mix(other, base, {1, 4}), third], set()),
+    ]
+
+
+@pytest.mark.parametrize("frames, shared", _reduction_cases())
+def test_shared_members_solved_once(monkeypatch, frames, shared):
+    n, L, M = frames[0].ambient_dim, len(frames[0]), len(frames)
+    free = L - len(shared)
+    calls = _count_eigen_solves(monkeypatch)
+    report = weaving_report(frames)
+    assert sum(shape[0] for shape in calls) == M**free
+    assert len(calls) == math.ceil(M**free / weaving._chunk_rows(n, L * M))
+    assert report.solved == M**free and report.shared == len(shared)
+    assert report.enumerated == M**L and not report.sampled
+    assert np.array_equal(report.labels, assignments(L, M).labels)
+    for k, a in enumerate(assignments(L, M)):
+        bounds, ok = frame_bounds(weave(frames, a))
+        assert abs(report.lower[k] - bounds.lower) <= 1e-12
+        assert abs(report.upper[k] - bounds.upper) <= 1e-12
+        assert report.is_frame[k] == ok
+    k_lo = np.flatnonzero(report.lower == report.lower.min())[0]
+    k_hi = np.flatnonzero(report.upper == report.upper.max())[0]
+    assert report.witness_lower == tuple(report.labels[k_lo].tolist())
+    assert report.witness_upper == tuple(report.labels[k_hi].tolist())
+    # rows that differ only at shared indices carry bitwise the same bounds
+    seen = {}
+    free_labels = report.labels[:, [i for i in range(L) if i not in shared]]
+    for row, lo, hi in zip(free_labels.tolist(), report.lower.tolist(), report.upper.tolist()):
+        assert seen.setdefault(tuple(row), (lo, hi)) == (lo, hi)
+    assert len(seen) == M**free
 
 
 def _patched_stack(monkeypatch, extra):
