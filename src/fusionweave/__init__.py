@@ -2,8 +2,8 @@
 
 The package computes frame operators, optimal bounds, duals and
 approximate duals, verifies Riesz and orthonormal fusion structure, and
-checks weaving and operator-perturbation statements by exact enumeration
-plus randomized property testing.
+checks weaving and operator-perturbation statements by exact enumeration,
+an exact woven verdict past enumeration, and randomized property testing.
 """
 
 from .errors import (
@@ -76,8 +76,10 @@ from .weaving import (
     RieszWeavingReport,
     TransformEnvelope,
     WeavingReport,
+    WovenDecision,
     assignments,
     construct_biorthogonal_riesz,
+    decide_woven,
     riesz_weaving_report,
     transform_frames,
     weave,

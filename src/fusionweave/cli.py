@@ -64,7 +64,7 @@ from .perturbation import (
     operator1_check,
     per1_conditions,
 )
-from .weaving import ENUM_CAP, weaving_report
+from .weaving import ENUM_CAP, decide_woven, weaving_report
 from .worked_examples import run_claims
 
 VERDICT_ERRORS = (NotAFrame, DualityLost, SingularOperator, ZeroOperator, NotUnitary, AngleNotLessThanOne)
@@ -227,21 +227,34 @@ def cmd_weave(args) -> int:
     report = weaving_report(
         frames, tol, sample_count=args.sample, seed=args.seed, enum_cap=args.max_enum
     )
-    mode = f"sampled ({report.enumerated} draws)" if report.sampled else "exhaustive"
-    verdict = "yes" if report.woven else "no"
+    woven = report.woven
     if report.sampled:
-        verdict += f" (sampled estimate over {report.enumerated} draws, not a proof)"
+        # the drawn rows only estimate; the verdict itself is decided exactly
+        decision = decide_woven(frames, tol, node_budget=args.max_enum)
+        woven = decision.woven
+        mode = f"sampled ({report.enumerated} draws)"
+        verdict = f"{'yes' if woven else 'no'} (exact, {decision.mode}"
+        if not woven:
+            verdict += f"; witness {_labels_text(decision.witness)}"
+        verdict += ")"
+        estimate = f" (sampled estimate over {report.enumerated} draws)"
+    else:
+        mode = "exhaustive"
+        verdict = "yes" if woven else "no"
+        estimate = ""
     print(f"weavings evaluated: {report.enumerated} [{mode}]")
     print(f"woven: {verdict}")
-    print(f"universal bounds: {_fmt(report.universal_lower)} {_fmt(report.universal_upper)}")
-    print(f"witness C: {_labels_text(report.witness_lower)}")
-    print(f"witness D: {_labels_text(report.witness_upper)}")
+    print(
+        f"universal bounds: {_fmt(report.universal_lower)} {_fmt(report.universal_upper)}{estimate}"
+    )
+    print(f"witness C: {_labels_text(report.witness_lower)}{estimate}")
+    print(f"witness D: {_labels_text(report.witness_upper)}{estimate}")
     length = report.labels.shape[1]
     reduction = "sampled" if report.sampled else f"{report.shared} of {length} members shared"
     print(f"weavings solved: {report.solved} of {report.frame_count}^{length} ({reduction})")
     if args.csv:
         _write_weave_csv(args.csv, report)
-    return 0 if report.woven else 1
+    return 0 if woven else 1
 
 
 def cmd_perturb(args) -> int:
@@ -302,6 +315,9 @@ def cmd_perturb(args) -> int:
             eig = record.witnesses["worst_commutator_min_eig"]
             print(f"commutator witness: member {member}, min eigenvalue {_fmt(eig)}")
         print(f"woven (independent enumeration): {'yes' if record.woven_verdict else 'no'}")
+        decision = record.witnesses["woven_decision"]
+        solved = f"{decision.nodes} operator{'' if decision.nodes == 1 else 's'} solved"
+        print(f"woven decision: {decision.mode} (certificate {_fmt(decision.certificate)}, {solved})")
         code = 0 if record.woven_verdict else 1
     else:
         raise ParseError(f"unknown --check kind: {args.check!r}")
@@ -370,7 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weave", parents=[common], help="weaving report over assignments")
     p.add_argument("frames", nargs="+", help="two or more frame documents")
-    p.add_argument("--max-enum", type=int, default=ENUM_CAP, help="exhaustive enumeration cap")
+    p.add_argument(
+        "--max-enum",
+        type=int,
+        default=ENUM_CAP,
+        help="exhaustive enumeration cap; with --sample, the exact verdict's node budget",
+    )
     p.add_argument("--sample", type=int, default=None, help="sample this many assignments")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--csv", help="write the per-assignment report to this CSV file")

@@ -11,7 +11,7 @@ import numpy as np
 from .frames import FusionFrame
 from .linalg import DEFAULT_TOL, Tolerance, orthonormal_columns
 from .subspaces import Subspace, apply_operator
-from .weaving import weaving_report
+from .weaving import decide_woven
 
 __all__ = [
     "random_orthogonal",
@@ -116,10 +116,10 @@ def random_woven_pair(
     tol: Tolerance = DEFAULT_TOL,
     max_tries: int = 64,
 ) -> tuple[FusionFrame, FusionFrame]:
-    """Two random fusion frames verified (exhaustively) to be woven."""
+    """Two random fusion frames verified (exactly, by ``decide_woven``) to be woven."""
     for _ in range(max_tries):
         F = random_fusion_frame(rng, n, count)
         G = random_fusion_frame(rng, n, count)
-        if weaving_report([F, G], tol).woven:
+        if decide_woven([F, G], tol).woven:
             return F, G
     raise RuntimeError(f"no woven pair found in {max_tries} tries")

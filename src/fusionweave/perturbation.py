@@ -48,7 +48,7 @@ from .subspaces import (
     projector,
     range_space,
 )
-from .weaving import weaving_report
+from .weaving import decide_woven
 
 __all__ = [
     "ModulusSandwich",
@@ -123,9 +123,9 @@ class Operator1Record:
     """Bounds of the pseudoinverse-image and image families of one frame.
 
     ``chain_ok`` reports the two-sided norm inequality linking the two
-    families; ``equivalence_ok`` reports whether frame-ness of the left
-    family on the operator's row space coincides with frame-ness of the
-    right family on the whole space.  The equivalence is recorded, not
+    families, decided exactly for every vector; ``equivalence_ok`` reports
+    whether frame-ness of the left family on the operator's row space
+    coincides with frame-ness of the right family on the whole space.  The equivalence is recorded, not
     asserted: degenerate non-injective configurations can break it.
     """
 
@@ -138,21 +138,36 @@ class Operator1Record:
     right_is_frame: bool
 
 
-def operator1_check(
-    T,
-    F: FusionFrame,
-    tol: Tolerance = DEFAULT_TOL,
-    trials: int = 100,
-    seed: int = 0,
-) -> Operator1Record:
-    """Compare {(T^+T W_i, w_i)} on the row space with {(T W_i, w_i)} on H."""
+def _norm_chain_holds(
+    middle: np.ndarray, base: np.ndarray, gamma: float, norm_T: float, tol: Tolerance
+) -> bool:
+    """Whether ``gamma^2 base <= middle <= norm_T^2 base`` in the Loewner order.
+
+    One eigen-solve of the two differences decides it; each may reach
+    ``-frame_eps`` times ``max(1, norm_T^2 ||base||_F)``.  The differences
+    are symmetrized first: at a tight chain they vanish, and the rounding
+    left in ``T S T^t`` would trip the guard of the eigen-solve.
+    """
+    gaps = np.stack([middle - gamma**2 * base, norm_T**2 * base - middle])
+    least = _sym_eigvalsh(0.5 * (gaps + gaps.transpose(0, 2, 1)), tol)[:, 0]
+    return bool(least.min() >= -tol.frame_eps * max(1.0, norm_T**2 * np.linalg.norm(base)))
+
+
+def operator1_check(T, F: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> Operator1Record:
+    """Compare {(T^+T W_i, w_i)} on the row space with {(T W_i, w_i)} on H.
+
+    The norm chain ``gamma^2 sum_i w^2 ||P_{TW_i} f||^2 <=
+    sum_i w^2 ||P_{T^+TW_i} T^t f||^2 <= ||T||^2 sum_i w^2 ||P_{TW_i} f||^2``
+    for every f is the operator inequality
+    ``gamma^2 S_right <= T S_left T^t <= ||T||^2 S_right`` and is decided
+    exactly, from the spectra of the two differences.
+    """
     A = as_matrix(T, "operator")
     if A.shape[0] != A.shape[1] or A.shape[1] != F.ambient_dim:
         raise DimensionMismatch("operator must be square with the frame's dimension")
     gamma = reduced_min_modulus(A, tol)
     if gamma <= tol.frame_eps:
         raise ZeroOperator("operator is numerically zero")
-    n = F.ambient_dim
     row_projector = pinv(A, tol) @ A
     left = transform_frame(row_projector, F, tol)
     row_space = range_space(A.T, tol)
@@ -160,18 +175,8 @@ def operator1_check(
     left_is_frame = left_bounds.lower > tol.frame_eps
     right = transform_frame(A, F, tol)
     right_bounds, right_is_frame = frame_bounds(right, tol)
-
-    # proof chain: gamma^2 * sum_i w^2 ||P_{TW_i} f||^2 <= sum_i w^2 ||P_{T+TW_i} T^t f||^2
-    #              <= ||T||^2 * sum_i w^2 ||P_{TW_i} f||^2, for arbitrary f
-    rng = np.random.default_rng(seed)
-    fs = rng.standard_normal((n, trials))
-    norm_T = operator_norm(A)
-    At_fs = A.T @ fs
-    base = np.sum(fs * (frame_operator(right) @ fs), axis=0)
-    middle = np.sum(At_fs * (frame_operator(left) @ At_fs), axis=0)
-    slack = 1e-9 * np.maximum(1.0, norm_T**2 * base)
-    chain_ok = bool(
-        np.all(gamma**2 * base <= middle + slack) and np.all(middle <= norm_T**2 * base + slack)
+    chain_ok = _norm_chain_holds(
+        A @ frame_operator(left) @ A.T, frame_operator(right), gamma, operator_norm(A), tol
     )
     return Operator1Record(
         left_bounds=left_bounds,
@@ -188,8 +193,11 @@ def operator1_check(
 class Per1Verdict:
     """Sufficient-condition verdicts for weaving a frame with its image.
 
-    ``woven_verdict`` is always computed independently by exhaustive
-    weaving enumeration, never inferred from the conditions.
+    ``woven_verdict`` is always computed independently, never inferred
+    from the conditions: it is the exact verdict of
+    :func:`~fusionweave.weaving.decide_woven` on ``[F, TF]`` (a meet
+    certificate, else a pruned search), which solves far fewer than the
+    ``2^L`` weavings and is kept under the ``woven_decision`` witness key.
     ``cond_iii`` is None when the operator is not unitary.
     """
 
@@ -260,7 +268,7 @@ def per1_conditions(
         worst_sigma, worst_eig = (worst + 1,), float(lam[worst])
         cond_iii = worst_eig >= -tol.frame_eps
 
-    report = weaving_report([F, moved], tol)
+    decision = decide_woven([F, moved], tol)
     witnesses = {
         "inclusion_pattern": pattern,
         "inclusions_ii": inclusions_ii,
@@ -269,12 +277,12 @@ def per1_conditions(
         "unitary": unitary,
         "worst_sigma": worst_sigma,
         "worst_commutator_min_eig": worst_eig,
-        "weaving_report": report,
+        "woven_decision": decision,
     }
     return Per1Verdict(
         cond_i=cond_i,
         cond_ii=cond_ii,
         cond_iii=cond_iii,
-        woven_verdict=report.woven,
+        woven_verdict=decision.woven,
         witnesses=witnesses,
     )

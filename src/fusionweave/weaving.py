@@ -23,6 +23,14 @@ whose ``M`` weighted projectors are bitwise equal adds the same summand
 whatever its label, so only the assignments of the other indices reach the
 kernel, and every row of the report takes the bounds of its reduced rank.
 The cap still counts all ``M^L`` rows.
+
+:func:`decide_woven` answers only the woven question, exactly and at any
+L, without enumerating: the Loewner meets of each index's weighted
+projectors sum to an operator below every weaving operator, so its least
+eigenvalue certifies many families at once; the rest are decided by a
+depth-first search over label prefixes that closes a prefix as soon as
+every completion is provably a frame, under a node budget that fails
+loudly.
 """
 
 from __future__ import annotations
@@ -69,9 +77,11 @@ __all__ = [
     "RieszWeavingEntry",
     "RieszWeavingReport",
     "TransformEnvelope",
+    "WovenDecision",
     "assignments",
     "weave",
     "weaving_report",
+    "decide_woven",
     "riesz_weaving_report",
     "construct_biorthogonal_riesz",
     "transform_frames",
@@ -84,6 +94,11 @@ ENUM_CAP = 1 << 20
 # Small enough to stay in cache and keep peak memory flat, large enough to
 # amortize the per-call overhead of the batched eigen-solve (512 rows at n=8).
 _CHUNK_BYTES = 256 * 1024
+
+# Search nodes expanded per batched eigen-solve in decide_woven: each brings
+# its M children, up to 2*M operators, to one call.  Pending nodes stay
+# below depth * batch * M, so memory is flat in L.
+_SEARCH_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -349,6 +364,152 @@ def weaving_report(
         solved=solve.shape[0],
         shared=int(shared.sum()),
     )
+
+
+@dataclass(frozen=True)
+class WovenDecision:
+    """Exact woven verdict of a family of frames (see :func:`decide_woven`).
+
+    ``mode`` is ``"certified"`` when the meet certificate alone proves the
+    family woven and ``"searched"`` when the pruned prefix search decided
+    it.  ``certificate`` is ``lambda_min(base + sum_i B_i)``, a lower bound
+    on the lower frame bound of every weaving; ``nodes`` counts the
+    operators eigen-solved; ``enumerated`` is ``M^L``, the weavings the
+    verdict covers.  A family that is not woven names a ``witness``
+    weaving (1-based labels over all L indices) and its lower frame bound
+    ``witness_lower``, recomputed by the report kernel; both are None
+    otherwise.
+    """
+
+    woven: bool
+    mode: str
+    certificate: float
+    nodes: int
+    enumerated: int
+    witness: tuple[int, ...] | None
+    witness_lower: float | None
+
+
+def _loewner_meets(A: np.ndarray) -> np.ndarray:
+    """``(L, n, n)`` stack of ``B_i`` with ``B_i <= A[i, j]`` (Loewner order) for every
+    j, folding ``X meet Y = (X + Y)/2 - |X - Y|/2`` over the labels of ``(L, M, n, n)``."""
+    B = A[:, 0]
+    for j in range(1, A.shape[1]):
+        Y = A[:, j]
+        lam, V = np.linalg.eigh(B - Y)
+        modulus = (V * np.abs(lam)[:, None, :]) @ np.swapaxes(V, -1, -2)
+        B = 0.5 * (B + Y) - 0.5 * modulus
+        # eigh's factors are not bitwise symmetric; the eigen-solve's guard
+        # would reject a meet near zero without this
+        B = 0.5 * (B + np.swapaxes(B, -1, -2))
+    return B
+
+
+def decide_woven(
+    frames: Sequence[FusionFrame],
+    tol: Tolerance = DEFAULT_TOL,
+    node_budget: int = ENUM_CAP,
+) -> WovenDecision:
+    """Exact verdict: is every one of the ``M^L`` weavings a fusion frame?
+
+    Write ``A_ij = w_ij^2 P_ij``; weaving sigma has operator
+    ``S = sum_i A_(i, sigma_i)``.  Indices whose ``M`` weighted projectors
+    are bitwise equal (the shared test of :func:`weaving_report`) are
+    folded into a base operator.  Each other index gets the Loewner meet
+    ``B_i`` of its ``M`` projectors, so ``B_i <= A_ij`` for every label j and
+    ``lambda_min(base + sum_i B_i)`` is a lower bound on every weaving's
+    lower frame bound.  Above ``frame_eps`` it proves the family woven
+    (``certified``, one operator solved).
+
+    Otherwise a depth-first search over label prefixes decides, with the
+    indices of the largest members (greatest ``w^2 dim``) first.  A prefix
+    with partial operator ``S_k`` is closed, every completion a frame,
+    when ``max(lambda_min(S_k), lambda_min(S_k + R_k)) > frame_eps``, where
+    ``R_k`` sums the meets of the indices still open: every completion
+    ``S`` has ``S >= S_k`` and ``S >= S_k + R_k``, and both terms are needed
+    because ``R_k`` can be indefinite.  Nodes are expanded in fixed-size
+    batches through one eigen-solve each.  A "no" ends at a complete
+    weaving whose lower bound, recomputed by the report kernel and its
+    clamp, is at most ``frame_eps``: the same test :func:`weaving_report`
+    applies to every row.  When the next batch would take ``nodes`` past
+    ``node_budget``, ``EnumerationTooLarge`` is raised; the search never
+    returns a partial answer.
+    """
+    n, length = _check_frames(frames)
+    if node_budget < 1:
+        raise ValueError("node_budget must be positive")
+    M = len(frames)
+    enumerated = M**length
+    stack = _weighted_projectors(frames)
+    if n == 0:  # every weaving has bounds 0, as in weaving_report
+        return WovenDecision(False, "searched", 0.0, 0, enumerated, (1,) * length, 0.0)
+    bits = stack.view(np.uint64)
+    shared = (bits == bits[:, :1]).all(axis=(1, 2))
+    projectors = stack.reshape(length, M, n, n)
+    base = projectors[shared, 0].sum(axis=0)
+    free = np.flatnonzero(~shared)
+    largest = np.trace(projectors[free], axis1=-2, axis2=-1).max(axis=1)
+    free = free[np.argsort(-largest, kind="stable")]
+    A = projectors[free]
+    depth_max = free.size
+    # rest[k]: the meets of the indices at depth k and beyond; rest[depth_max] = 0
+    rest = np.zeros((depth_max + 1, n, n))
+    if depth_max:
+        rest[:-1] = np.cumsum(_loewner_meets(A)[::-1], axis=0)[::-1]
+    certificate = float(_sym_eigvalsh(base + rest[0], tol)[0])
+    nodes = 1
+    if certificate > tol.frame_eps:
+        return WovenDecision(True, "certified", certificate, nodes, enumerated, None, None)
+
+    # pending blocks of (operators, depths, label prefixes); the last rows
+    # of the last block are expanded first
+    dtype = _label_dtype(M)
+    pending = [(base[None], np.zeros(1, dtype=int), np.ones((1, depth_max), dtype=dtype))]
+    choices = np.arange(1, M + 1, dtype=dtype)
+    while pending:
+        S, depth, prefix = pending[-1]
+        if depth.size > _SEARCH_BATCH:
+            pending[-1] = (S[:-_SEARCH_BATCH], depth[:-_SEARCH_BATCH], prefix[:-_SEARCH_BATCH])
+            S, depth, prefix = S[-_SEARCH_BATCH:], depth[-_SEARCH_BATCH:], prefix[-_SEARCH_BATCH:]
+        else:
+            pending.pop()
+        if depth[0] == depth_max:  # only the root can arrive complete: no free index
+            children, child_depth, child_prefix = S, depth, prefix
+        else:
+            children = (S[:, None] + A[depth]).reshape(-1, n, n)
+            child_depth = np.repeat(depth + 1, M)
+            child_prefix = np.repeat(prefix, M, axis=0)
+            child_prefix[np.arange(child_depth.size), child_depth - 1] = np.tile(choices, depth.size)
+        inner = child_depth < depth_max
+        cost = children.shape[0] + int(inner.sum())
+        if nodes + cost > node_budget:
+            raise EnumerationTooLarge(
+                f"woven decision undecided after {nodes} operators solved "
+                f"(node budget {node_budget}); meet certificate {certificate:.17g}"
+            )
+        least = _sym_eigvalsh(
+            np.concatenate([children, children[inner] + rest[child_depth[inner]]]), tol
+        )[:, 0]
+        nodes += cost
+        bound = least[: children.shape[0]]
+        bound[inner] = np.maximum(bound[inner], least[children.shape[0] :])
+        open_ = bound <= tol.frame_eps
+        for k in np.flatnonzero(open_ & ~inner):
+            labels = np.ones((1, length), dtype=dtype)
+            labels[0, free] = child_prefix[k]
+            (_, eigs), = _chunk_spectra(stack, labels, tol)
+            lower, _ = _clamp_psd(eigs[:, 0], eigs[:, -1], tol)
+            nodes += 1
+            if lower[0] <= tol.frame_eps:
+                witness = tuple(labels[0].tolist())
+                return WovenDecision(
+                    False, "searched", certificate, nodes, enumerated, witness, float(lower[0])
+                )
+        keep = np.flatnonzero(open_ & inner)
+        if keep.size:
+            keep = keep[np.argsort(-bound[keep], kind="stable")]  # least bound expanded first
+            pending.append((children[keep], child_depth[keep], child_prefix[keep]))
+    return WovenDecision(True, "searched", certificate, nodes, enumerated, None, None)
 
 
 @dataclass(frozen=True)

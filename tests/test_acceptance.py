@@ -253,7 +253,7 @@ def test_criterion_07_pseudoinverse_image_suite():
         n = int(rng.integers(2, 7))
         T = random_rank_operator(rng, n, int(rng.integers(1, n + 1)))
         F = random_fusion_frame(rng, n, int(rng.integers(1, 5)), uniform=False)
-        if operator1_check(T, F, seed=int(rng.integers(0, 2**31))).chain_ok:
+        if operator1_check(T, F).chain_ok:
             chain_good += 1
 
     equiv_good = 0
@@ -261,7 +261,7 @@ def test_criterion_07_pseudoinverse_image_suite():
         n = int(rng.integers(2, 7))
         T = random_invertible(rng, n, cond_cap=20.0)
         F = random_fusion_frame(rng, n, int(rng.integers(1, 5)), uniform=False)
-        if operator1_check(T, F, seed=int(rng.integers(0, 2**31))).equivalence_ok:
+        if operator1_check(T, F).equivalence_ok:
             equiv_good += 1
 
     degenerate = operator1_check(np.diag([1.0, 1.0, 0.0]), coordinate_frame(3))

@@ -239,9 +239,28 @@ def test_cli_weave_witnesses_and_sampled_label(tmp_path, capsys):
 
     assert main(["weave", coords_path(), enlarged_path(), "--sample", "4", "--seed", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    # the verdict is exact; the drawn rows' bounds and witnesses are estimates
     assert lines[0] == "weavings evaluated: 4 [sampled (4 draws)]"
-    assert lines[1] == "woven: yes (sampled estimate over 4 draws, not a proof)"
+    assert lines[1] == "woven: yes (exact, certified)"
+    assert lines[2].startswith("universal bounds: ")
+    assert all(line.endswith(" (sampled estimate over 4 draws)") for line in lines[2:5])
     assert lines[5] == "weavings solved: 4 of 2^3 (sampled)"
+
+
+def test_cli_sampled_weave_prints_exact_verdict(tmp_path, capsys):
+    # W_i = R, V_i = {0} at 22 indices: 1000 draws all look like frames, but
+    # the all-V weaving is the zero operator
+    W = write_json(tmp_path / "W.json", {"dim": 1, "subspaces": [{"vectors": [[1.0]]}] * 22})
+    V = write_json(tmp_path / "V.json", {"dim": 1, "subspaces": [{"vectors": []}] * 22})
+    assert main(["weave", W, V, "--sample", "1000"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "woven: no (exact, searched; witness " + "-".join(["2"] * 22) + ")"
+    assert lines[2].endswith(" (sampled estimate over 1000 draws)")
+    # --max-enum bounds the exact verdict's search; a spent budget is an error
+    assert main(["weave", W, V, "--sample", "1000", "--max-enum", "10"]) == 2
+    assert "operators solved (node budget 10)" in capsys.readouterr().err
+    # without --sample, 2^22 rows exceed the cap as before
+    assert main(["weave", W, V]) == 2
 
 
 def _reference_weave_csv(path, report):
@@ -343,6 +362,13 @@ def test_cli_per1_commutator_witness(tmp_path, capsys):
     assert label == "commutator witness" and member in ("1", "2")
     np.testing.assert_allclose(float(eig), -s, atol=1e-12)
     assert lines[4] == "woven (independent enumeration): yes"
+    # each meet of a line and its rotation is indefinite, but their sum is
+    # (1 - sin θ) times the identity, so the pair is certified at the root
+    mode, certificate, solved = re.fullmatch(
+        r"woven decision: (\w+) \(certificate (\S+), (.*)\)", lines[5]
+    ).groups()
+    assert mode == "certified" and solved == "1 operator solved"
+    np.testing.assert_allclose(float(certificate), 1 - s, atol=1e-12)
 
     identity = write_json(tmp_path / "id.json", {"dim": 2, "rows": np.eye(2).tolist()})
     assert main(["perturb", coords2, "--op", identity, "--check", "per1"]) == 0
@@ -358,6 +384,8 @@ def test_cli_per1_commutator_witness(tmp_path, capsys):
     assert lines[2:] == [
         "condition (iii) commutator positivity: n/a (not unitary)",
         "woven (independent enumeration): yes",
+        # 2 T maps each line onto itself: both members are shared
+        "woven decision: certified (certificate 1, 1 operator solved)",
     ]
 
 

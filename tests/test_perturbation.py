@@ -6,7 +6,6 @@ from fusionweave import (
     DEFAULT_TOL,
     AngleNotLessThanOne,
     DimensionMismatch,
-    EnumerationTooLarge,
     FusionFrame,
     IndexOutOfRange,
     NotUnitary,
@@ -20,6 +19,8 @@ from fusionweave import (
     partial_frame_operator,
     per1_conditions,
     span_of,
+    transform_frame,
+    weaving_report,
 )
 from fusionweave.generators import (
     random_fusion_frame,
@@ -28,6 +29,7 @@ from fusionweave.generators import (
     random_rank_operator,
     random_subspace,
 )
+from fusionweave.perturbation import _norm_chain_holds
 
 
 def test_partial_frame_operator():
@@ -144,7 +146,24 @@ def test_operator1_chain_random():
         n = int(rng.integers(2, 7))
         T = random_rank_operator(rng, n, int(rng.integers(1, n + 1)))
         F = random_fusion_frame(rng, n, int(rng.integers(1, 5)), uniform=False)
-        assert operator1_check(T, F, seed=int(rng.integers(0, 2**31))).chain_ok
+        assert operator1_check(T, F).chain_ok
+
+
+def test_operator1_chain_is_exact():
+    # T = c Q maps the frame onto Q F with gamma = ||T|| = c, so both sides of
+    # the chain are equalities and a gamma or ||T|| off by 1% must break it
+    rng = np.random.default_rng(107)
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        c = float(rng.uniform(0.5, 3.0))
+        T = c * random_orthogonal(rng, n)
+        F = random_fusion_frame(rng, n, int(rng.integers(n, n + 4)), uniform=False)
+        moved = frame_operator(transform_frame(T, F))
+        middle = T @ frame_operator(F) @ T.T
+        assert operator1_check(T, F).chain_ok
+        assert _norm_chain_holds(middle, moved, c, c, DEFAULT_TOL)
+        assert not _norm_chain_holds(middle, moved, 1.01 * c, c, DEFAULT_TOL)
+        assert not _norm_chain_holds(middle, moved, c, 0.99 * c, DEFAULT_TOL)
 
 
 def test_per1_scaling_instance():
@@ -273,14 +292,19 @@ def test_per1_condition_iii_matches_brute_force():
         assert len(F) * (n - 1) * witness - 1e-12 <= overall <= witness + 1e-12
 
 
-def test_per1_large_length_reaches_enumeration_cap():
-    # 64 members: condition (iii) needs no subset draws, so the only limit
-    # left is the weaving enumeration of [F, TF]
+def test_per1_large_length_answers():
+    # 64 members, 2^64 weavings of [F, TF]: condition (iii) needs no subset
+    # draws and the woven verdict no enumeration, so per1 answers
     theta = 0.3
     R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     F = FusionFrame.of_subspaces([span_of([[1.0, 0.0]]), span_of([[0.0, 1.0]])] * 32)
-    with pytest.raises(EnumerationTooLarge):
-        per1_conditions(R, F)
+    v = per1_conditions(R, F)
+    assert v.cond_iii is False
+    decision = v.witnesses["woven_decision"]
+    assert decision.enumerated == 2**64
+    # 32 copies of each line and its rotation: every weaving spans R^2
+    assert v.woven_verdict and decision.woven
+    assert decision.nodes < 10_000
 
 
 def _coordinate_block_frame(rng, n):
@@ -306,16 +330,12 @@ def test_per1_condition_implies_woven_random():
         assert v.cond_i and v.cond_ii and v.woven_verdict
         # with (ii) in force, every weaving must also pass the discrete
         # local-frame check
-        from fusionweave import (
-            Assignment,
-            discrete_frame_bounds,
-            to_discrete,
-            transform_frame,
-            weave,
-        )
+        from fusionweave import Assignment, discrete_frame_bounds, to_discrete, weave
 
         moved = transform_frame(T, F)
-        for entry in v.witnesses["weaving_report"].per_assignment:
+        report = weaving_report([F, moved])
+        assert report.woven == v.woven_verdict
+        for entry in report.per_assignment:
             woven = weave([F, moved], entry.assignment)
             _, discrete_ok = discrete_frame_bounds(to_discrete(woven))
             assert discrete_ok == entry.is_frame
