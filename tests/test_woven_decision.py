@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from fusionweave import (
+    DEFAULT_TOL,
     Assignment,
     EnumerationTooLarge,
     FusionFrame,
     Subspace,
+    Tolerance,
     canonical_dual,
     decide_woven,
     frame_bounds,
@@ -41,11 +43,14 @@ def _grid():
     return cases
 
 
-def test_decision_matches_enumeration_on_grid():
+# a coarse frame_eps makes weavings with a small positive lower bound count
+# as failures, which a prefix closed one meet too early would miss
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(frame_eps=0.3)], ids=["default", "coarse"])
+def test_decision_matches_enumeration_on_grid(tol):
     outcomes = {("certified", True): 0, ("searched", True): 0, ("searched", False): 0}
     for frames in _grid():
-        report = weaving_report(frames)
-        decision = decide_woven(frames)
+        report = weaving_report(frames, tol)
+        decision = decide_woven(frames, tol)
         assert decision.woven == report.woven
         assert decision.enumerated == report.enumerated == len(frames) ** len(frames[0])
         # the certificate bounds every weaving's lower frame bound from below
@@ -57,10 +62,11 @@ def test_decision_matches_enumeration_on_grid():
         else:
             row = int(np.flatnonzero((report.labels == decision.witness).all(axis=1))[0])
             assert decision.witness_lower == pytest.approx(report.lower[row], abs=1e-12)
-            assert decision.witness_lower <= 1e-9
+            assert decision.witness_lower <= tol.frame_eps
         outcomes[decision.mode, decision.woven] += 1
-    # the grid reaches every outcome: 124, 41 and 75 of its 240 cases
-    assert len(outcomes) == 3 and min(outcomes.values()) >= 30
+    # the grid reaches every outcome: 124, 41 and 75 of its 240 cases at the
+    # default frame_eps, 104, 12 and 124 at the coarse one
+    assert len(outcomes) == 3 and min(outcomes.values()) >= 10
 
 
 def test_meets_lie_below_every_label():
