@@ -278,6 +278,13 @@ def _weighted_projectors(frames: Sequence[FusionFrame]) -> np.ndarray:
     return np.stack(stacks, axis=1).reshape(length, len(frames), n * n)
 
 
+def _shared_indices(stack: np.ndarray) -> np.ndarray:
+    """Mask of the indices of an ``(L, M, n*n)`` stack whose ``M`` weighted
+    projectors are bitwise equal: their label never changes the operator."""
+    bits = stack.view(np.uint64)
+    return (bits == bits[:, :1]).all(axis=(1, 2))
+
+
 def _chunk_rows(n: int, width: int) -> int:
     """Assignments per kernel chunk for ambient dimension n and L*M = width."""
     return max(1, _CHUNK_BYTES // (8 * max(n * n, width)))
@@ -333,8 +340,7 @@ def weaving_report(
     stack = _weighted_projectors(frames)
     if sample_count is None:
         labels = assignments(length, M, enum_cap).labels
-        bits = stack.view(np.uint64)
-        shared = (bits == bits[:, :1]).all(axis=(1, 2))
+        shared = _shared_indices(stack)
     else:
         if sample_count < 1:
             raise ValueError("sample_count must be positive")
@@ -443,8 +449,7 @@ def decide_woven(
     stack = _weighted_projectors(frames)
     if n == 0:  # every weaving has bounds 0, as in weaving_report
         return WovenDecision(False, "searched", 0.0, 0, enumerated, (1,) * length, 0.0)
-    bits = stack.view(np.uint64)
-    shared = (bits == bits[:, :1]).all(axis=(1, 2))
+    shared = _shared_indices(stack)
     projectors = stack.reshape(length, M, n, n)
     base = projectors[shared, 0].sum(axis=0)
     free = np.flatnonzero(~shared)
