@@ -8,7 +8,8 @@ Subcommands::
     dual <frame> --verify <other>       duality verdict
     dual <frame> --defect <other>       approximate-dual defect
     dual <frame> --enlarge <extras>     enlarged canonical dual
-    weave <f1> <f2> [...]               weaving report, optional CSV
+    weave <f1> <f2> [...]               weaving report, optional CSV;
+                                        exact verdict only, past the cap
     perturb <frame> --op <T> --check …  operator perturbation checks
     paper-examples                      bundled worked-example claims
     random                              seeded instance generation
@@ -149,15 +150,20 @@ def cmd_dual(args) -> int:
     raise ParseError("dual needs one of --canonical, --verify, --defect, --enlarge")
 
 
-def _assignment_rank(labels: list[int], M: int) -> int:
-    rank = 0
-    for v in labels:
-        rank = rank * M + (v - 1)
-    return rank
-
-
 def _labels_text(labels) -> str:
     return "-".join(map(str, labels))
+
+
+def _decision_lines(decision) -> tuple[str, str]:
+    """The ``woven:`` verdict line and the ``woven decision:`` line of a WovenDecision."""
+    verdict = f"woven: {'yes' if decision.woven else 'no'} (exact, {decision.mode}"
+    if decision.witness is not None:
+        verdict += f"; witness {_labels_text(decision.witness)}"
+    solved = f"{decision.nodes} operator{'' if decision.nodes == 1 else 's'} solved"
+    return (
+        verdict + ")",
+        f"woven decision: {decision.mode} (certificate {_fmt(decision.certificate)}, {solved})",
+    )
 
 
 # Rows of the weave CSV formatted and written at a time: few enough that a
@@ -191,10 +197,6 @@ def _write_weave_csv(path: str, report) -> None:
         for start in range(0, report.enumerated, _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)
             labels = report.labels[block]
-            if report.sampled:
-                ids = [_assignment_rank(row, M) for row in labels.tolist()]
-            else:
-                ids = range(start, start + labels.shape[0])  # exhaustive rows are in rank order
             flags = np.where(report.is_frame[block], "true", "false").tolist()
             # no field can hold a comma, quote or line break, so these lines
             # are what csv.writer writes, without its per-field quoting checks
@@ -202,7 +204,7 @@ def _write_weave_csv(path: str, report) -> None:
                 "".join(
                     f"{k},{text},{lo},{hi},{ok}\r\n"
                     for k, text, lo, hi, ok in zip(
-                        ids,
+                        range(start, start + labels.shape[0]),  # rows are in rank order
                         _labels_column(labels, M).tolist(),
                         _fmt_column(report.lower[block]),
                         _fmt_column(report.upper[block]),
@@ -224,37 +226,26 @@ def _write_weave_csv(path: str, report) -> None:
 def cmd_weave(args) -> int:
     tol = _tolerance(args)
     frames = [load_frame(path, tol) for path in args.frames]
-    report = weaving_report(
-        frames, tol, sample_count=args.sample, seed=args.seed, enum_cap=args.max_enum
-    )
-    woven = report.woven
-    if report.sampled:
-        # the drawn rows only estimate; the verdict itself is decided exactly
+    if len(frames) ** len(frames[0]) > args.max_enum and not args.csv:
+        # past the cap only the verdict is exact without enumeration; CSV
+        # rows still need it, so weaving_report below raises the cap error
         decision = decide_woven(frames, tol, node_budget=args.max_enum)
-        woven = decision.woven
-        mode = f"sampled ({report.enumerated} draws)"
-        verdict = f"{'yes' if woven else 'no'} (exact, {decision.mode}"
-        if not woven:
-            verdict += f"; witness {_labels_text(decision.witness)}"
-        verdict += ")"
-        estimate = f" (sampled estimate over {report.enumerated} draws)"
-    else:
-        mode = "exhaustive"
-        verdict = "yes" if woven else "no"
-        estimate = ""
-    print(f"weavings evaluated: {report.enumerated} [{mode}]")
-    print(f"woven: {verdict}")
-    print(
-        f"universal bounds: {_fmt(report.universal_lower)} {_fmt(report.universal_upper)}{estimate}"
-    )
-    print(f"witness C: {_labels_text(report.witness_lower)}{estimate}")
-    print(f"witness D: {_labels_text(report.witness_upper)}{estimate}")
+        print("\n".join(_decision_lines(decision)))
+        return 0 if decision.woven else 1
+    report = weaving_report(frames, tol, enum_cap=args.max_enum)
     length = report.labels.shape[1]
-    reduction = "sampled" if report.sampled else f"{report.shared} of {length} members shared"
-    print(f"weavings solved: {report.solved} of {report.frame_count}^{length} ({reduction})")
+    print(f"weavings evaluated: {report.enumerated} [exhaustive]")
+    print(f"woven: {'yes' if report.woven else 'no'}")
+    print(f"universal bounds: {_fmt(report.universal_lower)} {_fmt(report.universal_upper)}")
+    print(f"witness C: {_labels_text(report.witness_lower)}")
+    print(f"witness D: {_labels_text(report.witness_upper)}")
+    print(
+        f"weavings solved: {report.solved} of {report.frame_count}^{length} "
+        f"({report.shared} of {length} members shared)"
+    )
     if args.csv:
         _write_weave_csv(args.csv, report)
-    return 0 if woven else 1
+    return 0 if report.woven else 1
 
 
 def cmd_perturb(args) -> int:
@@ -315,9 +306,7 @@ def cmd_perturb(args) -> int:
             eig = record.witnesses["worst_commutator_min_eig"]
             print(f"commutator witness: member {member}, min eigenvalue {_fmt(eig)}")
         print(f"woven (independent enumeration): {'yes' if record.woven_verdict else 'no'}")
-        decision = record.witnesses["woven_decision"]
-        solved = f"{decision.nodes} operator{'' if decision.nodes == 1 else 's'} solved"
-        print(f"woven decision: {decision.mode} (certificate {_fmt(decision.certificate)}, {solved})")
+        print(_decision_lines(record.witnesses["woven_decision"])[1])
         code = 0 if record.woven_verdict else 1
     else:
         raise ParseError(f"unknown --check kind: {args.check!r}")
@@ -390,10 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-enum",
         type=int,
         default=ENUM_CAP,
-        help="exhaustive enumeration cap; with --sample, the exact verdict's node budget",
+        help="enumeration cap; past it, the exact verdict's node budget",
     )
-    p.add_argument("--sample", type=int, default=None, help="sample this many assignments")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--csv", help="write the per-assignment report to this CSV file")
     p.set_defaults(func=cmd_weave)
 

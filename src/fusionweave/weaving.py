@@ -7,8 +7,7 @@ serves it; a partition block sigma_j is the preimage of label j and may
 be empty.  :func:`assignments` is the one place that orders assignments
 (lexicographically) and caps their number: it returns a lazy sequence
 over a ``(K, L)`` label array and raises ``EnumerationTooLarge`` beyond
-the cap.  Only a report asked for a seeded sample (``sample_count``)
-goes further, and it is then marked as sampled.
+the cap, so every report is exhaustive.
 
 Every weaving operator is a sum of one weighted projector per index.  A
 report stacks the ``L*M`` weighted projectors once, as an ``(L*M, n*n)``
@@ -18,7 +17,7 @@ chunk, and one batched eigen-solve gives their spectra.  Each report
 reduces a chunk's spectra as they arrive, into arrays; the Riesz report
 runs its two-sided weavings through the same kernel with unit weights.
 
-An exhaustive weaving report solves each distinct weaving once: an index
+A weaving report solves each distinct weaving once: an index
 whose ``M`` weighted projectors are bitwise equal adds the same summand
 whatever its label, so only the assignments of the other indices reach the
 kernel, and every row of the report takes the bounds of its reduced rank.
@@ -72,9 +71,7 @@ __all__ = [
     "ENUM_CAP",
     "Assignment",
     "AssignmentSequence",
-    "WeavingEntry",
     "WeavingReport",
-    "RieszWeavingEntry",
     "RieszWeavingReport",
     "TransformEnvelope",
     "WovenDecision",
@@ -150,13 +147,6 @@ def _label_dtype(frame_count: int) -> type:
     return np.int8 if frame_count <= np.iinfo(np.int8).max else np.int64
 
 
-@dataclass(frozen=True)
-class WeavingEntry:
-    assignment: Assignment
-    bounds: FrameBounds
-    is_frame: bool
-
-
 @dataclass(frozen=True, eq=False)
 class WeavingReport:
     """Per-weaving bounds as arrays, plus the universal constants over them.
@@ -164,11 +154,10 @@ class WeavingReport:
     Row k of ``labels`` is an assignment (1-based labels over
     ``frame_count`` frames); ``lower[k]`` and ``upper[k]`` are the optimal
     bounds of its weaving and ``is_frame[k]`` says whether ``lower[k]``
-    exceeds ``frame_eps``.  Rows are in lexicographic order; a sampled
-    report keeps repeated draws.  ``solved`` counts the rows that were
-    eigen-solved: ``M^L'`` when exhaustive, where ``shared`` of the L
-    indices carry the same weighted projector in every frame and
-    ``L' = L - shared``; every draw when sampled (``shared`` is then 0).
+    exceeds ``frame_eps``.  Rows are in lexicographic order, so row k is
+    the assignment of rank k.  ``solved`` counts the rows that were
+    eigen-solved, ``M^L'``, where ``shared`` of the L indices carry the
+    same weighted projector in every frame and ``L' = L - shared``.
     """
 
     labels: np.ndarray
@@ -176,7 +165,6 @@ class WeavingReport:
     upper: np.ndarray
     is_frame: np.ndarray
     frame_count: int
-    sampled: bool
     solved: int
     shared: int
 
@@ -206,19 +194,6 @@ class WeavingReport:
     def witness_upper(self) -> tuple[int, ...]:
         """Labels of the first row attaining the universal upper bound D."""
         return tuple(self.labels[np.argmax(self.upper)].tolist())
-
-    @property
-    def per_assignment(self) -> tuple[WeavingEntry, ...]:
-        """One entry per row, built from the arrays on every access."""
-        return tuple(
-            WeavingEntry(a, FrameBounds(lo, hi), ok)
-            for a, lo, hi, ok in zip(
-                AssignmentSequence(self.labels, self.frame_count),
-                self.lower.tolist(),
-                self.upper.tolist(),
-                self.is_frame.tolist(),
-            )
-        )
 
 
 def assignments(
@@ -315,19 +290,16 @@ def _chunk_spectra(
 def weaving_report(
     frames: Sequence[FusionFrame],
     tol: Tolerance = DEFAULT_TOL,
-    sample_count: int | None = None,
-    seed: int = 0,
     enum_cap: int = ENUM_CAP,
 ) -> WeavingReport:
-    """Evaluate the frame bounds of every weaving (or a seeded sample).
+    """Evaluate the frame bounds of every one of the ``M^L`` weavings.
 
-    In exhaustive mode the universal constants are exact minima/maxima; in
-    sampled mode they are one-sided estimates and the report says so via
-    ``sampled``.  Rows are in lexicographic assignment order either way
-    (sampled rows keep duplicates), so the output is deterministic for
-    fixed inputs and seed.
+    The universal constants are exact minima/maxima over the rows, which
+    are in lexicographic assignment order.  Beyond ``enum_cap`` rows,
+    ``EnumerationTooLarge`` is raised; :func:`decide_woven` still answers
+    the woven question there.
 
-    An exhaustive report solves each distinct weaving once.  Index i is
+    The report solves each distinct weaving once.  Index i is
     shared when its ``M`` weighted projectors are bitwise equal: every
     label there adds the same summand to the weaving operator, so the
     operator does not depend on it.  Only the
@@ -338,16 +310,8 @@ def weaving_report(
     n, length = _check_frames(frames)
     M = len(frames)
     stack = _weighted_projectors(frames)
-    if sample_count is None:
-        labels = assignments(length, M, enum_cap).labels
-        shared = _shared_indices(stack)
-    else:
-        if sample_count < 1:
-            raise ValueError("sample_count must be positive")
-        rng = np.random.default_rng(seed)
-        drawn = rng.integers(1, M + 1, size=(sample_count, length))
-        labels = drawn[np.lexsort(drawn.T[::-1])].astype(_label_dtype(M))
-        shared = np.zeros(length, dtype=bool)  # every draw is solved
+    labels = assignments(length, M, enum_cap).labels
+    shared = _shared_indices(stack)
     solve = labels[(labels[:, shared] == 1).all(axis=1)] if shared.any() else labels
     lower, upper = np.zeros(solve.shape[0]), np.zeros(solve.shape[0])
     for rows, eigs in _chunk_spectra(stack, solve, tol):  # PSD clamp rule of frame_bounds
@@ -366,7 +330,6 @@ def weaving_report(
         upper=upper,
         is_frame=lower > tol.frame_eps,
         frame_count=M,
-        sampled=sample_count is not None,
         solved=solve.shape[0],
         shared=int(shared.sum()),
     )
@@ -517,21 +480,37 @@ def decide_woven(
     return WovenDecision(True, "searched", certificate, nodes, enumerated, None, None)
 
 
-@dataclass(frozen=True)
-class RieszWeavingEntry:
-    subset: tuple[int, ...]  # 1-based indices served by the first frame
-    bounds: FrameBounds
-    is_riesz_sequence: bool
-    is_riesz_basis: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RieszWeavingReport:
-    per_subset: tuple[RieszWeavingEntry, ...]
-    all_riesz_sequences: bool
-    all_riesz_bases: bool
-    universal_lower: float
-    universal_upper: float
+    """Riesz-sequence bounds of the two-sided weavings of ``W`` and ``V``, as arrays.
+
+    Row k of ``labels`` takes W (label 1) at index i exactly when bit i of
+    k is set, and V (label 2) elsewhere.  ``lower[k]`` and ``upper[k]`` are
+    its Riesz bounds, ``is_sequence[k]`` says whether ``lower[k]`` exceeds
+    ``frame_eps`` and ``is_basis[k]`` whether the row is also a basis.
+    """
+
+    labels: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    is_sequence: np.ndarray
+    is_basis: np.ndarray
+
+    @property
+    def all_riesz_sequences(self) -> bool:
+        return bool(self.is_sequence.all())
+
+    @property
+    def all_riesz_bases(self) -> bool:
+        return bool(self.is_basis.all())
+
+    @property
+    def universal_lower(self) -> float:
+        return float(self.lower.min())
+
+    @property
+    def universal_upper(self) -> float:
+        return float(self.upper.max())
 
 
 def riesz_weaving_report(
@@ -539,9 +518,9 @@ def riesz_weaving_report(
 ) -> RieszWeavingReport:
     """Riesz-sequence bounds of every two-sided weaving of 1-uniform frames.
 
-    Row k takes W on the set bits of k (``subset``, 1-based) and V
-    elsewhere.  With t concatenated basis columns E, the bounds are the
-    extremal squared singular values of E, read off the ascending spectrum
+    Row k takes W on the set bits of k and V elsewhere.  With t
+    concatenated basis columns E, the bounds are the extremal squared
+    singular values of E, read off the ascending spectrum
     of ``E E^T = sum_i P_i``: ``upper = lambda_max``, ``lower = lambda[n - t]``
     for ``0 < t <= n`` and 0 otherwise.  A Riesz sequence has
     ``lower > frame_eps``; a basis also has ``t == n``, the test of
@@ -562,22 +541,7 @@ def riesz_weaving_report(
         full = (t > 0) & (t <= n)
         lower[rows], upper[rows] = _clamp_psd(np.where(full, least, 0.0), eigs[:, -1], tol)
     is_sequence = lower > tol.frame_eps
-    is_basis = is_sequence & (columns == n)
-    entries = tuple(
-        RieszWeavingEntry(
-            tuple(i + 1 for i, v in enumerate(row) if v == 1), FrameBounds(lo, hi), seq, basis
-        )
-        for row, lo, hi, seq, basis in zip(
-            labels.tolist(), lower.tolist(), upper.tolist(), is_sequence.tolist(), is_basis.tolist()
-        )
-    )
-    return RieszWeavingReport(
-        per_subset=entries,
-        all_riesz_sequences=bool(is_sequence.all()),
-        all_riesz_bases=bool(is_basis.all()),
-        universal_lower=float(lower.min()),
-        universal_upper=float(upper.max()),
-    )
+    return RieszWeavingReport(labels, lower, upper, is_sequence, is_sequence & (columns == n))
 
 
 def construct_biorthogonal_riesz(

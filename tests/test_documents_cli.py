@@ -188,7 +188,7 @@ def test_cli_weave_csv(tmp_path):
     assert [r[0] for r in body] == [str(i) for i in range(8)]
 
 
-def test_cli_weave_negative_and_sampled(tmp_path):
+def test_cli_weave_negative_and_sampled(tmp_path, capsys):
     swapped = write_json(
         tmp_path / "swapped.json",
         {"dim": 2, "subspaces": [{"vectors": [[0, 1]]}, {"vectors": [[1, 0]]}]},
@@ -198,13 +198,15 @@ def test_cli_weave_negative_and_sampled(tmp_path):
         {"dim": 2, "subspaces": [{"vectors": [[1, 0]]}, {"vectors": [[0, 1]]}]},
     )
     assert main(["weave", coords2, swapped]) == 1
+    capsys.readouterr()
 
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["weave", coords_path(), enlarged_path(), "--sample", "4", "--seed", "5", "--csv", str(a)]) == 0
-    assert main(["weave", coords_path(), enlarged_path(), "--sample", "4", "--seed", "5", "--csv", str(b)]) == 0
-    assert a.read_text() == b.read_text()
-
-    assert main(["weave", coords_path(), enlarged_path(), "--max-enum", "4"]) == 2
+    # 2^3 weavings past a cap of 4: the exact verdict, from the meet certificate
+    assert main(["weave", coords_path(), enlarged_path(), "--max-enum", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "woven: yes (exact, certified)"
+    assert lines[1].startswith("woven decision: certified (certificate ")
+    assert lines[1].endswith(", 1 operator solved)")
+    assert len(lines) == 2
 
 
 def test_cli_weave_witnesses_and_sampled_label(tmp_path, capsys):
@@ -237,42 +239,34 @@ def test_cli_weave_witnesses_and_sampled_label(tmp_path, capsys):
         "weavings solved: 4 of 2^2 (0 of 2 members shared)",
     ]
 
-    assert main(["weave", coords_path(), enlarged_path(), "--sample", "4", "--seed", "5"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    # the verdict is exact; the drawn rows' bounds and witnesses are estimates
-    assert lines[0] == "weavings evaluated: 4 [sampled (4 draws)]"
-    assert lines[1] == "woven: yes (exact, certified)"
-    assert lines[2].startswith("universal bounds: ")
-    assert all(line.endswith(" (sampled estimate over 4 draws)") for line in lines[2:5])
-    assert lines[5] == "weavings solved: 4 of 2^3 (sampled)"
-
 
 def test_cli_sampled_weave_prints_exact_verdict(tmp_path, capsys):
-    # W_i = R, V_i = {0} at 22 indices: 1000 draws all look like frames, but
+    # W_i = R, V_i = {0} at 22 indices: almost every weaving is a frame, but
     # the all-V weaving is the zero operator
     W = write_json(tmp_path / "W.json", {"dim": 1, "subspaces": [{"vectors": [[1.0]]}] * 22})
     V = write_json(tmp_path / "V.json", {"dim": 1, "subspaces": [{"vectors": []}] * 22})
-    assert main(["weave", W, V, "--sample", "1000"]) == 1
+    # 2^22 weavings exceed the default cap: the exact verdict, no bounds
+    assert main(["weave", W, V]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1] == "woven: no (exact, searched; witness " + "-".join(["2"] * 22) + ")"
-    assert lines[2].endswith(" (sampled estimate over 1000 draws)")
+    assert lines[0] == "woven: no (exact, searched; witness " + "-".join(["2"] * 22) + ")"
+    assert lines[1].startswith("woven decision: searched (certificate ")
+    assert lines[1].endswith(" operators solved)")
+    assert len(lines) == 2 and not any(line.startswith("universal bounds") for line in lines)
     # --max-enum bounds the exact verdict's search; a spent budget is an error
-    assert main(["weave", W, V, "--sample", "1000", "--max-enum", "10"]) == 2
+    assert main(["weave", W, V, "--max-enum", "10"]) == 2
     assert "operators solved (node budget 10)" in capsys.readouterr().err
-    # without --sample, 2^22 rows exceed the cap as before
-    assert main(["weave", W, V]) == 2
+    # CSV rows need enumeration: past the cap they are the cap error
+    assert main(["weave", W, V, "--csv", str(tmp_path / "rows.csv")]) == 2
+    assert "exceed cap" in capsys.readouterr().err
 
 
 def _reference_weave_csv(path, report):
     """The per-row writer: csv.writer, ``.17g`` text and ``"-".join`` on every row."""
-    M = report.frame_count
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["assignment_id", "labels", "lambda_min", "lambda_max", "is_frame"])
         rows = zip(*(a.tolist() for a in (report.labels, report.lower, report.upper, report.is_frame)))
         for k, (row, lo, hi, ok) in enumerate(rows):
-            if report.sampled:
-                k = sum((v - 1) * M ** (len(row) - 1 - i) for i, v in enumerate(row))
             flag = "true" if ok else "false"
             writer.writerow([k, "-".join(map(str, row)), f"{lo:.17g}", f"{hi:.17g}", flag])
         writer.writerow(
@@ -293,19 +287,14 @@ def _csv_reports():
     pair[1] = FusionFrame(3, pair[0].members[:9] + pair[1].members[9:])  # 9 of 12 members shared
     exhaustive = weaving_report(pair)
     assert exhaustive.enumerated > cli._CSV_BLOCK_ROWS and exhaustive.solved == 8
-    sampled = weaving_report(frames(2, 3, 4), sample_count=200, seed=1)
-    assert len(np.unique(sampled.labels, axis=0)) < sampled.enumerated
     # values that compare equal or print alike must keep their own text
     signed = np.where(np.arange(exhaustive.enumerated) % 3 == 0, -0.0, 0.0)
     upper = np.where(np.arange(exhaustive.enumerated) % 2 == 0, 0.1 + 0.2, 0.3)
     zeros = dataclasses.replace(exhaustive, lower=signed, upper=upper, is_frame=signed > 0)
     return [
         exhaustive,
-        sampled,
         zeros,
         weaving_report(frames(11, 2, 2)),  # labels up to 11-11
-        weaving_report(frames(12, 2, 5), sample_count=60, seed=4),
-        weaving_report(frames(2, 1, 70), sample_count=20, seed=2),  # ranks beyond int64
     ]
 
 

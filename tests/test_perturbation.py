@@ -335,10 +335,10 @@ def test_per1_condition_implies_woven_random():
         moved = transform_frame(T, F)
         report = weaving_report([F, moved])
         assert report.woven == v.woven_verdict
-        for entry in report.per_assignment:
-            woven = weave([F, moved], entry.assignment)
+        for labels, is_frame in zip(report.labels.tolist(), report.is_frame.tolist()):
+            woven = weave([F, moved], Assignment(tuple(labels), 2))
             _, discrete_ok = discrete_frame_bounds(to_discrete(woven))
-            assert discrete_ok == entry.is_frame
+            assert discrete_ok == is_frame
             assert discrete_ok
 
         # block rotation inside one member commutes with every partial

@@ -80,11 +80,11 @@ def test_weave_carries_weights():
 
 def test_weaving_report_coordinate_pair():
     report = weaving_report([coordinate_frame(3), enlarged_coordinate_frame()])
-    assert report.woven and not report.sampled and report.enumerated == 8
+    assert report.woven and report.enumerated == 8
     assert abs(report.universal_lower - 1.0) <= 1e-12
     assert abs(report.universal_upper - 2.0) <= 1e-12
-    assert report.universal_lower == min(e.bounds.lower for e in report.per_assignment)
-    assert report.universal_upper == max(e.bounds.upper for e in report.per_assignment)
+    assert report.universal_lower == min(report.lower.tolist())
+    assert report.universal_upper == max(report.upper.tolist())
 
 
 def test_weaving_report_two_copies():
@@ -101,8 +101,8 @@ def test_weaving_report_swapped_lines_not_woven():
     V = FusionFrame.of_subspaces([span_of([[0.0, 1.0]]), span_of([[1.0, 0.0]])])
     report = weaving_report([W, V])
     assert not report.woven
-    bad = [e for e in report.per_assignment if not e.is_frame]
-    assert {e.assignment.labels for e in bad} == {(1, 2), (2, 1)}
+    bad = report.labels[~report.is_frame].tolist()
+    assert {tuple(labels) for labels in bad} == {(1, 2), (2, 1)}
 
 
 def test_single_frame_report_matches_frame_bounds():
@@ -111,25 +111,10 @@ def test_single_frame_report_matches_frame_bounds():
     assert weaving_report([F]).woven == frame_bounds(F)[1]
 
 
-def test_weaving_report_sampled_mode():
-    frames = [coordinate_frame(3), enlarged_coordinate_frame()]
-    one = weaving_report(frames, sample_count=5, seed=9)
-    two = weaving_report(frames, sample_count=5, seed=9)
-    assert one.sampled and one.enumerated == 5
-    assert [e.assignment.labels for e in one.per_assignment] == [
-        e.assignment.labels for e in two.per_assignment
-    ]
-    exhaustive = weaving_report(frames)
-    assert one.universal_lower >= exhaustive.universal_lower - 1e-12
-    assert one.universal_upper <= exhaustive.universal_upper + 1e-12
-
-
 def test_weaving_report_cap():
     frames = [coordinate_frame(3), enlarged_coordinate_frame()]
     with pytest.raises(EnumerationTooLarge):
         weaving_report(frames, enum_cap=4)
-    # sampling ignores the cap
-    assert weaving_report(frames, sample_count=3, enum_cap=4).enumerated == 3
 
 
 def test_bessel_envelope_property():
@@ -164,14 +149,17 @@ def test_riesz_weaving_report_identical_bases():
     assert report.all_riesz_sequences and report.all_riesz_bases
     assert abs(report.universal_lower - 1.0) <= 1e-12
     assert abs(report.universal_upper - 1.0) <= 1e-12
-    assert len(report.per_subset) == 8
+    assert report.labels.shape == (8, 3)
 
 
 def test_riesz_weaving_report_enlarged_family_fails():
     report = riesz_weaving_report(coordinate_frame(3), enlarged_coordinate_frame())
     assert not report.all_riesz_sequences and not report.all_riesz_bases
     # exactly the subsets that pick the enlarged plane fail
-    failing = {e.subset for e in report.per_subset if not e.is_riesz_sequence}
+    failing = {
+        tuple(i + 1 for i, v in enumerate(labels) if v == 1)
+        for labels in report.labels[~report.is_sequence].tolist()
+    }
     assert failing == {(), (2,), (3,), (2, 3)}
 
 

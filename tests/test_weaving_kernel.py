@@ -51,7 +51,7 @@ def _grid():
 def test_kernel_matches_per_weaving_bounds(frames):
     n, L, M = frames[0].ambient_dim, len(frames[0]), len(frames)
     report = weaving_report(frames)
-    assert report.enumerated == M**L and not report.sampled
+    assert report.enumerated == M**L
     assert report.labels.shape == (M**L, L)
     for k, a in enumerate(assignments(L, M)):
         bounds, ok = frame_bounds(weave(frames, a))
@@ -96,20 +96,6 @@ def test_assignment_sequence():
     assert len(assignments(5, 3, enum_cap=243)) == 243
     with pytest.raises(EnumerationTooLarge):
         assignments(5, 3, enum_cap=242)
-
-
-def test_sampled_rows_sorted_with_duplicates():
-    rng = np.random.default_rng(7)
-    frames = [_frame(rng, 3, 4) for _ in range(2)]
-    report = weaving_report(frames, sample_count=200, seed=3)
-    rows = [tuple(r) for r in report.labels.tolist()]
-    assert report.sampled and report.enumerated == 200
-    assert rows == sorted(rows) and len(set(rows)) < len(rows)
-    full = weaving_report(frames)
-    for k, row in enumerate(rows):
-        rank = int(np.ravel_multi_index(tuple(np.array(row) - 1), (2,) * 4))
-        assert report.lower[k] == pytest.approx(full.lower[rank], abs=1e-12)
-        assert report.upper[k] == pytest.approx(full.upper[rank], abs=1e-12)
 
 
 def _count_eigen_solves(monkeypatch) -> list:
@@ -203,7 +189,7 @@ def test_shared_members_solved_once(monkeypatch, frames, shared):
     assert sum(shape[0] for shape in calls) == M**free
     assert len(calls) == math.ceil(M**free / weaving._chunk_rows(n, L * M))
     assert report.solved == M**free and report.shared == len(shared)
-    assert report.enumerated == M**L and not report.sampled
+    assert report.enumerated == M**L
     assert np.array_equal(report.labels, assignments(L, M).labels)
     for k, a in enumerate(assignments(L, M)):
         bounds, ok = frame_bounds(weave(frames, a))
@@ -307,14 +293,14 @@ def test_riesz_report_matches_per_subset_reference(monkeypatch, W, V, chunk_rows
     calls = _count_eigen_solves(monkeypatch)
     report = riesz_weaving_report(W, V)
     assert len(calls) == math.ceil(2**L / weaving._chunk_rows(n, 2 * L))
-    assert len(report.per_subset) == 2**L
+    assert report.labels.shape == (2**L, L)
     reference = [_riesz_reference(W, V, mask) for mask in range(2**L)]
-    for entry, (subset, bounds, is_seq, is_basis) in zip(report.per_subset, reference):
-        assert entry.subset == subset
-        assert entry.is_riesz_sequence == is_seq
-        assert entry.is_riesz_basis == is_basis
-        assert abs(entry.bounds.lower - bounds.lower) <= 1e-12
-        assert abs(entry.bounds.upper - bounds.upper) <= 1e-12
+    for k, (subset, bounds, is_seq, is_basis) in enumerate(reference):
+        assert tuple(i + 1 for i, v in enumerate(report.labels[k].tolist()) if v == 1) == subset
+        assert report.is_sequence[k] == is_seq
+        assert report.is_basis[k] == is_basis
+        assert abs(report.lower[k] - bounds.lower) <= 1e-12
+        assert abs(report.upper[k] - bounds.upper) <= 1e-12
     assert report.all_riesz_sequences == all(r[2] for r in reference)
     assert report.all_riesz_bases == all(r[3] for r in reference)
     assert abs(report.universal_lower - min(r[1].lower for r in reference)) <= 1e-12
